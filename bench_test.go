@@ -220,12 +220,18 @@ func BenchmarkNoCSweep(b *testing.B) {
 // --- Theorem 1: O(1) work complexity with respect to n ---
 //
 // Per-packet scheduling cost must stay flat as the number of flows
-// grows for ERR and DRR, and grow ~log n for the timestamp
-// disciplines. Reported as ns/op at n = 8 .. 4096 flows.
+// grows for ERR, DRR and IWRR, and grow ~log n for the timestamp
+// disciplines. Reported as ns/op at n = 8 .. 4096 flows, and up to
+// 2^18 flows for ERR, DRR and IWRR.
 
-func benchWorkComplexity(b *testing.B, mk func() sched.Scheduler) {
-	for _, n := range []int{8, 64, 512, 4096} {
-		b.Run(benchName(n), func(b *testing.B) {
+var (
+	smallFlowCounts = []int{8, 64, 512, 4096}
+	largeFlowCounts = []int{8, 64, 512, 4096, 1 << 14, 1 << 18}
+)
+
+func benchWorkComplexity(b *testing.B, flowCounts []int, mk func() sched.Scheduler) {
+	for _, n := range flowCounts {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			d := harness.New(n, mk())
 			src := rng.New(1)
 			dist := rng.NewUniform(1, 64)
@@ -245,37 +251,51 @@ func benchWorkComplexity(b *testing.B, mk func() sched.Scheduler) {
 	}
 }
 
-func benchName(n int) string {
-	switch n {
-	case 8:
-		return "n=8"
-	case 64:
-		return "n=64"
-	case 512:
-		return "n=512"
-	default:
-		return "n=4096"
-	}
-}
-
 func BenchmarkWorkComplexityERR(b *testing.B) {
-	benchWorkComplexity(b, func() sched.Scheduler { return core.New() })
+	benchWorkComplexity(b, largeFlowCounts, func() sched.Scheduler { return core.New() })
 }
 
 func BenchmarkWorkComplexityDRR(b *testing.B) {
-	benchWorkComplexity(b, func() sched.Scheduler { return sched.NewDRR(64, nil) })
+	benchWorkComplexity(b, largeFlowCounts, func() sched.Scheduler { return sched.NewDRR(64, nil) })
 }
 
 func BenchmarkWorkComplexityWFQ(b *testing.B) {
-	benchWorkComplexity(b, func() sched.Scheduler { return sched.NewWFQ(nil) })
+	benchWorkComplexity(b, smallFlowCounts, func() sched.Scheduler { return sched.NewWFQ(nil) })
 }
 
 func BenchmarkWorkComplexityPBRR(b *testing.B) {
-	benchWorkComplexity(b, func() sched.Scheduler { return sched.NewPBRR() })
+	benchWorkComplexity(b, smallFlowCounts, func() sched.Scheduler { return sched.NewPBRR() })
 }
 
 func BenchmarkWorkComplexityIWRR(b *testing.B) {
-	benchWorkComplexity(b, func() sched.Scheduler { return sched.NewIWRR(func(f int) int { return f%4 + 1 }) })
+	benchWorkComplexity(b, largeFlowCounts, func() sched.Scheduler { return sched.NewIWRR(func(f int) int { return f%4 + 1 }) })
+}
+
+// BenchmarkFlowActivation times what the work-complexity benchmarks
+// leave out by pre-backlogging before the timer starts: a flow's first
+// arrival. Each iteration builds a fresh scheduler, activates n flows
+// in the err-sweep order (every 8th id, then the rest) and serves each
+// one packet until idle. ns/flow must stay flat from 2^10 to 2^20
+// flows; per-flow tables that grow to exactly id+1 make it linear in n.
+func BenchmarkFlowActivation(b *testing.B) {
+	for _, s := range []struct {
+		name string
+		mk   func() sched.Scheduler
+	}{
+		{"ERR", func() sched.Scheduler { return core.New() }},
+		{"DRR", func() sched.Scheduler { return sched.NewDRR(64, nil) }},
+		{"IWRR", func() sched.Scheduler { return sched.NewIWRR(func(f int) int { return f%4 + 1 }) }},
+	} {
+		for n := 1 << 10; n <= 1<<20; n <<= 2 {
+			ids := sweepOrder(n)
+			b.Run(fmt.Sprintf("%s/n=%d", s.name, n), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					activateAndDrain(s.mk(), ids)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/flow")
+			})
+		}
+	}
 }
 
 // --- substrate throughput ---

@@ -25,8 +25,9 @@
 // compiler enforces that it never sees a length before dequeuing.
 //
 // All operations are O(1) in the number of flows (the paper's
-// Theorem 1): the ActiveList is a linked FIFO and all counters are
-// per-flow scalars.
+// Theorem 1): the ActiveList is a ring of flow ids plus a membership
+// table, all counters are per-flow scalars, and the per-flow tables
+// grow with amortized O(1) cost when a new flow id first appears.
 package core
 
 import (
@@ -101,11 +102,7 @@ func NewWeighted(weight func(flow int) int64) *ERR {
 // scRef returns a pointer to flow's surplus count, growing the table
 // as needed.
 func (e *ERR) scRef(flow int) *int64 {
-	if flow >= len(e.sc) {
-		grown := make([]int64, flow+1)
-		copy(grown, e.sc)
-		e.sc = grown
-	}
+	queue.Extend(&e.sc, flow+1)
 	return &e.sc[flow]
 }
 

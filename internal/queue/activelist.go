@@ -6,9 +6,9 @@ package queue
 // of the paper relies on for the O(1) work complexity of ERR.
 //
 // Implementation: a growable ring of flow ids plus a membership
-// bitmap indexed by flow id. The same flow may not appear twice.
+// table indexed by flow id. The same flow may not appear twice.
 // The zero value is an empty list; flows of any non-negative id may
-// be added (the bitmap grows on demand).
+// be added (the table grows on demand, with amortized O(1) cost).
 type ActiveList struct {
 	ring       []int
 	head, size int
@@ -37,11 +37,7 @@ func (l *ActiveList) PushTail(id int) {
 	if l.Contains(id) {
 		panic("queue: flow already in ActiveList")
 	}
-	if id >= len(l.member) {
-		nm := make([]bool, id+1)
-		copy(nm, l.member)
-		l.member = nm
-	}
+	Extend(&l.member, id+1)
 	if l.size == len(l.ring) {
 		l.grow()
 	}
@@ -93,4 +89,16 @@ func (l *ActiveList) grow() {
 	}
 	l.ring = nr
 	l.head = 0
+}
+
+// Extend lengthens *s to at least n elements, the new ones zero. It
+// grows the per-flow tables of the round-robin schedulers: append's
+// geometric capacity makes covering flow ids 0..n-1 cost O(n) in
+// total in any activation order, where growing to exactly n would
+// copy the table on every new highest id (O(n^2)). Capacity slack is
+// never read, since callers index only below len.
+func Extend[T any](s *[]T, n int) {
+	if n > len(*s) {
+		*s = append(*s, make([]T, n-len(*s))...)
+	}
 }

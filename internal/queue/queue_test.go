@@ -317,3 +317,50 @@ func assertPanics(t *testing.T, name string, f func()) {
 	}()
 	f()
 }
+
+// TestExtendZeroesReusedBackingArray: Extend hands out zero elements
+// even when the backing array already holds data beyond len.
+func TestExtendZeroesReusedBackingArray(t *testing.T) {
+	s := []int64{1, 2, 3, 4}[:1]
+	Extend(&s, 3)
+	if len(s) != 3 || s[0] != 1 || s[1] != 0 || s[2] != 0 {
+		t.Fatalf("Extend = %v, want [1 0 0]", s)
+	}
+	Extend(&s, 2)
+	if len(s) != 3 {
+		t.Fatalf("Extend shrank the slice to %d", len(s))
+	}
+}
+
+// TestActiveListCapacitySlackAbsent: ids in the membership table's
+// capacity slack [len, cap) are not members, before and after the
+// table is reallocated.
+func TestActiveListCapacitySlackAbsent(t *testing.T) {
+	var l ActiveList
+	for id := 0; id < 1000; id++ {
+		l.PushTail(id)
+	}
+	for l.Len() > 1 {
+		l.PopHead()
+	}
+	for round := 0; round < 2; round++ {
+		if len(l.member) == cap(l.member) {
+			t.Fatalf("no capacity slack to probe (len = cap = %d)", cap(l.member))
+		}
+		for id := len(l.member); id < cap(l.member); id++ {
+			if l.Contains(id) {
+				t.Fatalf("Contains(%d) in capacity slack [%d, %d)", id, len(l.member), cap(l.member))
+			}
+		}
+		// Push past the capacity so the table is reallocated.
+		old := cap(l.member)
+		l.PushTail(old)
+		if cap(l.member) == old || !l.Contains(old) || l.Contains(old-1) {
+			t.Fatalf("PushTail(%d) past capacity %d: cap %d, Contains = %v",
+				old, old, cap(l.member), l.Contains(old))
+		}
+	}
+	if got := l.Snapshot(); len(got) != 3 || got[0] != 999 {
+		t.Fatalf("Snapshot after growth = %v", got)
+	}
+}

@@ -72,15 +72,8 @@ func NewOptDRR(quanta []int64) *DRR {
 
 // grow ensures the per-flow tables cover flow.
 func (d *DRR) grow(flow int) {
-	if flow < len(d.deficit) {
-		return
-	}
-	nd := make([]int64, flow+1)
-	copy(nd, d.deficit)
-	d.deficit = nd
-	nl := make([]*fifoInt, flow+1)
-	copy(nl, d.lengths)
-	d.lengths = nl
+	queue.Extend(&d.deficit, flow+1)
+	queue.Extend(&d.lengths, flow+1)
 }
 
 // Name implements Scheduler.

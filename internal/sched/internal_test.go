@@ -229,3 +229,35 @@ func assertPanics(t *testing.T, name string, f func()) {
 	}()
 	f()
 }
+
+// TestDRRTableSlackHasNoLength: flow ids in the per-flow tables'
+// capacity slack [len, cap) have no recorded length, no deficit and
+// are not active.
+func TestDRRTableSlackHasNoLength(t *testing.T) {
+	d := NewDRR(64, nil)
+	for id := 0; id < 1000; id++ {
+		d.OnArrival(id, true)
+		d.OnArrivalLength(id, 1)
+	}
+	if len(d.lengths) == cap(d.lengths) {
+		t.Fatalf("no capacity slack to probe (len = cap = %d)", cap(d.lengths))
+	}
+	for id := len(d.lengths); id < cap(d.lengths); id++ {
+		if d.lengths[:cap(d.lengths)][id] != nil || d.active.Contains(id) {
+			t.Fatalf("flow %d in capacity slack [%d, %d) has a length FIFO or is active", id, len(d.lengths), cap(d.lengths))
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("headLen(%d) in capacity slack did not panic", id)
+				}
+			}()
+			d.headLen(id)
+		}()
+	}
+	for id := len(d.deficit); id < cap(d.deficit); id++ {
+		if v := d.deficit[:cap(d.deficit)][id]; v != 0 {
+			t.Fatalf("deficit[%d] in capacity slack = %d, want 0", id, v)
+		}
+	}
+}

@@ -67,15 +67,8 @@ func (s *IWRR) weightOf(flow int) int {
 
 // grow ensures the per-flow tables cover flow.
 func (s *IWRR) grow(flow int) {
-	if flow < len(s.rem) {
-		return
-	}
-	nr := make([]int, flow+1)
-	copy(nr, s.rem)
-	s.rem = nr
-	ns := make([]int64, flow+1)
-	copy(ns, s.stamp)
-	s.stamp = ns
+	queue.Extend(&s.rem, flow+1)
+	queue.Extend(&s.stamp, flow+1)
 }
 
 // member reports whether flow is in any of the three lists.

@@ -145,7 +145,7 @@ func TestServeQueueFullSheds(t *testing.T) {
 
 	var wg sync.WaitGroup
 	var got429 atomic.Int64
-	for i := 0; i < 4; i++ {
+	send := func() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -157,6 +157,14 @@ func TestServeQueueFullSheds(t *testing.T) {
 				got429.Add(1)
 			}
 		}()
+	}
+	// Put the first request in service before the others arrive: the
+	// dispatcher runs on its own goroutine, so otherwise all four can
+	// reach the queue while it still holds the first.
+	send()
+	waitFor(t, func() bool { return inflight(s) == 1 })
+	for i := 0; i < 3; i++ {
+		send()
 	}
 	// 1 in service + 2 queued; the 4th arrival must shed with 429.
 	waitFor(t, func() bool { return got429.Load() >= 1 })

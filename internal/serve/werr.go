@@ -100,11 +100,7 @@ func NewWallERR(weight func(flow int) int64, debtCap int64) *WallERR {
 func (e *WallERR) Name() string { return "WallERR" }
 
 func (e *WallERR) scRef(flow int) *int64 {
-	if flow >= len(e.sc) {
-		grown := make([]int64, flow+1)
-		copy(grown, e.sc)
-		e.sc = grown
-	}
+	queue.Extend(&e.sc, flow+1)
 	return &e.sc[flow]
 }
 

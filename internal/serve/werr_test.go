@@ -323,3 +323,69 @@ func TestWallERRInflightGuardsIdleReset(t *testing.T) {
 		t.Fatalf("SurplusCount(0) = %d, want 3 (debt persists through idle)", sc)
 	}
 }
+
+// growPastCapacity serves one unit-cost request of flows id, id+1,
+// ... (each activated and drained alone) until e's surplus table has
+// been reallocated, and returns the next unused id.
+func growPastCapacity(t *testing.T, e *WallERR, id int) int {
+	t.Helper()
+	for old := cap(e.sc); cap(e.sc) == old; id++ {
+		if id >= 1<<20 {
+			t.Fatalf("surplus table never grew past capacity %d", old)
+		}
+		e.OnArrival(id, true)
+		if f := e.NextFlow(); f != id {
+			t.Fatalf("NextFlow = %d, want %d", f, id)
+		}
+		e.OnServiceDone(id, e.OnDispatch(id, true), 1)
+		e.NextFlow() // closes the drained flow's opportunity
+	}
+	return id
+}
+
+// TestWallERRTableSlackReadsZero: flow ids in the surplus table's
+// capacity slack [len, cap) carry no debt and are not active.
+func TestWallERRTableSlackReadsZero(t *testing.T) {
+	e := NewWallERR(nil, 0)
+	for id := 0; id < 1000; {
+		id = growPastCapacity(t, e, id)
+	}
+	if len(e.sc) == cap(e.sc) {
+		t.Fatalf("no capacity slack to probe (len = cap = %d)", cap(e.sc))
+	}
+	for id := len(e.sc); id < cap(e.sc); id++ {
+		if sc := e.SurplusCount(id); sc != 0 || e.IsActive(id) {
+			t.Fatalf("flow %d in capacity slack [%d, %d): SurplusCount = %d, IsActive = %v",
+				id, len(e.sc), cap(e.sc), sc, e.IsActive(id))
+		}
+	}
+}
+
+// TestWallERRDebtSurvivesTableGrowth: debt billed to a drained flow
+// after its opportunity closed persists while its table is
+// reallocated, and still shrinks its next allowance.
+func TestWallERRDebtSurvivesTableGrowth(t *testing.T) {
+	e := NewWallERR(nil, 0)
+	e.OnArrival(0, true)
+	e.NextFlow()
+	tok := e.OnDispatch(0, true)
+	if f := e.NextFlow(); f != -1 {
+		t.Fatalf("NextFlow = %d, want -1 (flow 0 drained)", f)
+	}
+	e.OnServiceDone(0, tok, 21) // the opportunity is closed: debt 20
+	for id := 1; id < 1000; {
+		id = growPastCapacity(t, e, id)
+		if sc := e.SurplusCount(0); sc != 20 {
+			t.Fatalf("SurplusCount(0) after growth to capacity %d = %d, want 20", cap(e.sc), sc)
+		}
+	}
+	// Idle again, so MaxSC is 0: flow 0 owes more than its grant of 1
+	// and its visit is a repayment visit that dispatches nothing.
+	e.OnArrival(0, true)
+	if f := e.NextFlow(); f != 0 {
+		t.Fatalf("NextFlow = %d, want 0", f)
+	}
+	if sc := e.SurplusCount(0); sc >= 20 {
+		t.Fatalf("SurplusCount(0) after repayment visits = %d, want < 20", sc)
+	}
+}
