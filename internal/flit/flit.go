@@ -117,16 +117,6 @@ func (p Packet) Flits() []Flit {
 	return fs
 }
 
-// AppendFlits appends the packet's flits to dst and returns the
-// extended slice — the allocation-free counterpart of Flits for hot
-// injection paths that reuse one buffer across packets.
-func (p Packet) AppendFlits(dst []Flit) []Flit {
-	for i := 0; i < p.Length; i++ {
-		dst = append(dst, Flit{Flow: p.Flow, Kind: kindAt(i, p.Length), Seq: i, Dst: p.Dst, PktID: p.ID})
-	}
-	return dst
-}
-
 // String implements fmt.Stringer.
 func (p Packet) String() string {
 	return fmt.Sprintf("pkt{flow=%d len=%d dst=%d id=%d}", p.Flow, p.Length, p.Dst, p.ID)

@@ -78,18 +78,21 @@ type Config struct {
 // into the local input port at one flit per cycle. The queue is a
 // ring-buffer FIFO (not a slice popped with q = q[1:], which keeps
 // every delivered packet reachable at the run's high-water mark) so
-// a burst's memory is returned as it drains. buf is the reusable
-// flit materialisation buffer: flits aliases it while a packet is
-// mid-injection (nil otherwise), so the steady state allocates
-// nothing per packet.
+// a burst's memory is returned as it drains. pkt is the packet being
+// injected, next the index of its next flit (pkt.FlitAt(next)); the
+// front end is mid-injection while next < pkt.Length. The steady state
+// allocates nothing per packet.
 type injState struct {
 	queue  queue.PacketQueue
-	buf    []flit.Flit
-	flits  []flit.Flit
+	pkt    flit.Packet
 	next   int
 	vc     int
 	nextVC int
+	traced bool // pkt was sampled by the flight recorder
 }
+
+// injecting reports whether a packet is mid-injection.
+func (st *injState) injecting() bool { return st.next < st.pkt.Length }
 
 // pktMeta is what the mesh remembers about an undelivered packet: when
 // it was queued (for latency) and how long it is (so only the true
@@ -277,7 +280,7 @@ type Mesh struct {
 
 	activeR *idSet             // routers with buffered flits or live allocations (physical ids)
 	activeI *idSet             // nodes with queued or mid-injection packets (node ids)
-	fx      []wormhole.Effects // per-router effect buffers, physical order
+	fx      []wormhole.Effects // per-tile effect buffers, tile order
 	allIDs  []int
 	pool    *exec.Pool
 	// fullIter disables active-set skipping (oracle mode for tests).
@@ -431,7 +434,7 @@ func NewMesh(cfg Config) (*Mesh, error) {
 		inflight:         make(map[int64]pktMeta),
 		activeR:          newIDSet(n),
 		activeI:          newIDSet(n),
-		fx:               make([]wormhole.Effects, n),
+		fx:               make([]wormhole.Effects, numTiles),
 		allIDs:           make([]int, n),
 		physR:            make([]*wormhole.Router, n),
 		ext2phys:         make([]int32, n),
@@ -679,16 +682,26 @@ func (m *Mesh) onTail(f flit.Flit, cycle int64) {
 	delete(m.inflight, f.PktID)
 }
 
-// Send queues a packet for injection at node src toward node dst.
-// The packet's Flow is overwritten with src so per-source fairness is
-// measurable at the ejection sinks.
-func (m *Mesh) Send(src, dst, length int) {
+// checkSend panics on a send the mesh cannot carry: a node id out of
+// range, or a length outside [1, MaxInt32] (routers store a flit's
+// sequence number in 32 bits).
+func (m *Mesh) checkSend(src, dst, length int) {
 	if src < 0 || src >= m.Nodes() || dst < 0 || dst >= m.Nodes() {
 		panic("noc: node id out of range")
 	}
 	if length < 1 {
 		panic("noc: packet length < 1")
 	}
+	if length > math.MaxInt32 {
+		panic(fmt.Sprintf("noc: packet length %d > math.MaxInt32", length))
+	}
+}
+
+// Send queues a packet for injection at node src toward node dst.
+// The packet's Flow is overwritten with src so per-source fairness is
+// measurable at the ejection sinks.
+func (m *Mesh) Send(src, dst, length int) {
+	m.checkSend(src, dst, length)
 	id := m.nextID
 	m.nextID++
 	p := flit.Packet{Flow: src, Length: length, Dst: dst, ID: id}
@@ -716,8 +729,10 @@ func schedLess(a, b schedSend) bool {
 // Due sends are released in submission order before each step, so a
 // schedule is equivalent to calling Send at exactly those cycles —
 // and it is what tells Run and Drain how far they may jump when the
-// network goes quiet between bursts (idle-gap time skipping).
+// network goes quiet between bursts (idle-gap time skipping). A send
+// Send would refuse panics here, at submission.
 func (m *Mesh) SendAt(at int64, src, dst, length int) {
+	m.checkSend(src, dst, length)
 	if at <= m.cycle {
 		m.Send(src, dst, length)
 		return
@@ -769,7 +784,7 @@ func (m *Mesh) releaseDue() {
 func (m *Mesh) PendingAt(src int) int {
 	st := &m.inj[src]
 	n := st.queue.Len()
-	if st.flits != nil {
+	if st.injecting() {
 		n++
 	}
 	return n
@@ -891,12 +906,12 @@ func (m *Mesh) canActNow() bool {
 }
 
 // injCanProgress reports whether node id's injection front end can
-// make progress this cycle. Materialising the next queued packet
-// mutates front-end state (VC assignment, flit buffer) even when the
-// first flit is then refused, so a non-empty queue always counts.
+// make progress this cycle. Popping the next queued packet mutates
+// front-end state (the packet, its VC assignment) even when the first
+// flit is then refused, so a non-empty queue always counts.
 func (m *Mesh) injCanProgress(id int) bool {
 	st := &m.inj[id]
-	if st.flits == nil {
+	if !st.injecting() {
 		return !st.queue.Empty()
 	}
 	return m.routers[id].CanAccept(PortLocal, st.vc)
@@ -1194,12 +1209,16 @@ func (m *Mesh) ensureTasks(g int) {
 
 // runTiles computes and interior-commits tiles [lo, hi): per tile, in
 // ascending physical-id order, every active router computes against
-// frozen cycle-start state; then each router's buffered effects are
-// applied to same-tile targets and deferred to the tile's rest buffer
-// otherwise (wormhole.Effects.ApplyDomain). Interior commits mutate
-// only this tile's routers — plus the active set, via its CAS path —
-// so disjoint tile ranges run concurrently, and the fixed per-tile
-// order makes serial and parallel execution byte-identical.
+// frozen cycle-start state, appending its effects to the tile's one
+// effect buffer; then the buffer is applied to same-tile targets and
+// deferred to the tile's rest buffer otherwise
+// (wormhole.Effects.ApplyDomain). ApplyDomain commits all deliveries
+// before all credits, as the serial boundary commit always has; the
+// two classes commute (Effects.Apply), so this is the commit of one
+// buffer per router in id order. Interior commits mutate only this
+// tile's routers — plus the active set, via its CAS path — so disjoint
+// tile ranges run concurrently, and the fixed per-tile order makes
+// serial and parallel execution byte-identical.
 func (m *Mesh) runTiles(lo, hi int) {
 	ids := m.tileIDs
 	cyc := m.tileCycle
@@ -1208,15 +1227,12 @@ func (m *Mesh) runTiles(lo, hi int) {
 		if len(span) == 0 {
 			continue
 		}
+		fx := &m.fx[t]
+		fx.Reset()
 		for _, id := range span {
-			fx := &m.fx[id]
-			fx.Reset()
 			m.physR[id].Compute(cyc, fx)
 		}
-		rest := &m.rest[t]
-		for _, id := range span {
-			m.fx[id].ApplyDomain(t, rest)
-		}
+		fx.ApplyDomain(t, &m.rest[t])
 	}
 }
 
@@ -1227,16 +1243,13 @@ func (m *Mesh) runTiles(lo, hi int) {
 func (m *Mesh) injectPhase() {
 	for _, id := range m.activeI.sorted() {
 		st := &m.inj[id]
-		if st.flits == nil && !st.queue.Empty() {
-			p := st.queue.Pop()
-			st.buf = p.AppendFlits(st.buf[:0])
-			if m.tr != nil && m.tr.Sampler().Sample(p.ID) {
-				for i := range st.buf {
-					st.buf[i].Traced = true
-				}
+		if !st.injecting() {
+			if st.queue.Empty() {
+				continue
 			}
-			st.flits = st.buf
+			st.pkt = st.queue.Pop()
 			st.next = 0
+			st.traced = m.tr != nil && m.tr.Sampler().Sample(st.pkt.ID)
 			// Torus packets must start in the lower (pre-dateline)
 			// half of the VCs.
 			injVCs := m.cfg.VCs
@@ -1246,18 +1259,15 @@ func (m *Mesh) injectPhase() {
 			st.vc = st.nextVC % injVCs
 			st.nextVC = (st.nextVC + 1) % injVCs
 		}
-		if st.flits != nil {
-			if m.routers[id].Inject(PortLocal, st.vc, st.flits[st.next], m.cycle) {
-				st.next++
-				if st.next == len(st.flits) {
-					st.flits = nil
-				}
-			}
+		f := st.pkt.FlitAt(st.next)
+		f.Traced = st.traced
+		if m.routers[id].Inject(PortLocal, st.vc, f, m.cycle) {
+			st.next++
 		}
 	}
 	m.activeI.prune(func(id int) bool {
 		st := &m.inj[id]
-		return st.flits != nil || !st.queue.Empty()
+		return st.injecting() || !st.queue.Empty()
 	})
 }
 

@@ -60,8 +60,8 @@ func (p *portBuf) push(vc int, f flit.Flit, arrived int64) {
 			panic("wormhole: push to full DAMQ queue (flow control violated)")
 		}
 	} else {
-		// Write the slot in place (vcFIFO.push would copy the entry a
-		// second time — measurable on the injection-heavy commit path).
+		// Write the slot in place: a second copy of the entry is
+		// measurable on the injection-heavy commit path.
 		if q.size == len(q.buf) {
 			panic("wormhole: push to full VC FIFO (credit protocol violated)")
 		}
@@ -69,9 +69,7 @@ func (p *portBuf) push(vc int, f flit.Flit, arrived int64) {
 		if i >= len(q.buf) {
 			i -= len(q.buf)
 		}
-		s := &q.buf[i]
-		s.f = f
-		s.arrived = arrived
+		q.buf[i] = packEntry(f, arrived)
 		q.size++
 	}
 	p.occVC |= 1 << uint(vc)
@@ -94,7 +92,7 @@ func (p *portBuf) popFlit(vc int) flit.Flit {
 	if q.size == 0 {
 		panic("wormhole: pop from empty VC FIFO")
 	}
-	f := q.buf[q.head].f
+	f := q.buf[q.head].flit()
 	q.head++
 	if q.head == len(q.buf) {
 		q.head = 0
@@ -108,12 +106,17 @@ func (p *portBuf) popFlit(vc int) flit.Flit {
 	return f
 }
 
-func (p *portBuf) peek(vc int) entry {
+// peek returns the head flit of VC vc (which must be non-empty).
+func (p *portBuf) peek(vc int) flit.Flit {
 	if p.dyn != nil {
-		f, meta := p.dyn.Peek(vc)
-		return entry{f: f, arrived: meta}
+		f, _ := p.dyn.Peek(vc)
+		return f
 	}
-	return p.fifos[vc].peek()
+	q := &p.fifos[vc]
+	if q.size == 0 {
+		panic("wormhole: peek on empty VC FIFO")
+	}
+	return q.buf[q.head].flit()
 }
 
 // peekArrived returns the arrival cycle of the head flit (valid only

@@ -25,15 +25,49 @@ import (
 	"repro/internal/sched"
 )
 
-// entry is a buffered flit with its arrival cycle (a flit may not be
-// forwarded in the cycle it arrived, enforcing one hop per cycle).
+// entry is a buffered flit packed into a 32-byte FIFO slot with its
+// arrival cycle (a flit may not be forwarded in the cycle it arrived,
+// enforcing one hop per cycle). flit.Flit with the stamp is 48 bytes;
+// the forwarding loop's time goes to cache misses on these slots, so
+// Flow, Seq and Dst are stored as int32. Router.Inject, the only way a
+// flit enters the network, refuses one whose fields do not fit
+// (checkPackable); every later hop copies an already narrowed slot.
 type entry struct {
-	f       flit.Flit
+	pktID   int64
 	arrived int64
+	flow    int32
+	seq     int32
+	dst     int32
+	kind    flit.Kind
+	traced  bool
+}
+
+func packEntry(f flit.Flit, arrived int64) entry {
+	return entry{pktID: f.PktID, arrived: arrived, flow: int32(f.Flow), seq: int32(f.Seq),
+		dst: int32(f.Dst), kind: f.Kind, traced: f.Traced}
+}
+
+func (e *entry) flit() flit.Flit {
+	return flit.Flit{Flow: int(e.flow), Kind: e.kind, Traced: e.traced, Seq: int(e.seq),
+		Dst: int(e.dst), PktID: e.pktID}
+}
+
+// checkPackable panics, naming the field, if f cannot be stored in an
+// entry without losing bits.
+func checkPackable(f flit.Flit) {
+	mustFitInt32("Flow", f.Flow)
+	mustFitInt32("Seq", f.Seq)
+	mustFitInt32("Dst", f.Dst)
+}
+
+func mustFitInt32(field string, v int) {
+	if int(int32(v)) != v {
+		panic(fmt.Sprintf("wormhole: flit %s %d does not fit in int32", field, v))
+	}
 }
 
 // vcFIFO is a statically partitioned flit buffer for one (input
-// port, VC) pair.
+// port, VC) pair; portBuf pushes and pops its slots in place.
 type vcFIFO struct {
 	buf        []entry
 	head, size int
@@ -47,41 +81,8 @@ type vcFIFO struct {
 	notif bool
 }
 
-func (q *vcFIFO) empty() bool { return q.size == 0 }
-func (q *vcFIFO) full() bool  { return q.size == len(q.buf) }
-func (q *vcFIFO) len() int    { return q.size }
-
-func (q *vcFIFO) push(e entry) {
-	if q.full() {
-		panic("wormhole: push to full VC FIFO (credit protocol violated)")
-	}
-	i := q.head + q.size
-	if i >= len(q.buf) {
-		i -= len(q.buf)
-	}
-	q.buf[i] = e
-	q.size++
-}
-
-func (q *vcFIFO) pop() entry {
-	if q.empty() {
-		panic("wormhole: pop from empty VC FIFO")
-	}
-	e := q.buf[q.head]
-	q.head++
-	if q.head == len(q.buf) {
-		q.head = 0
-	}
-	q.size--
-	return e
-}
-
-func (q *vcFIFO) peek() entry {
-	if q.empty() {
-		panic("wormhole: peek on empty VC FIFO")
-	}
-	return q.buf[q.head]
-}
+func (q *vcFIFO) full() bool { return q.size == len(q.buf) }
+func (q *vcFIFO) len() int   { return q.size }
 
 // Endpoint consumes flits leaving one of a router's output ports.
 // Implementations: a neighbouring router's input port, or an
@@ -172,9 +173,8 @@ type lock struct {
 	// grant time; all per-visit tracer calls are gated on it, so
 	// unsampled packets cost the forwarding loop nothing.
 	traced   bool
-	port, vc int // input port and VC the packet occupies
-	outVC    int // VC the packet uses on the output link
-	flow     int
+	port, vc int32 // input port and VC the packet occupies
+	flow     int32
 	since    int64 // cycle the output queue was granted
 }
 
@@ -380,7 +380,7 @@ func (r *Router) creditArrived(o, v int, cycle int64) {
 		if l := &r.locks[o*r.cfg.VCs+v]; l.traced {
 			// A traced lock waiting on this credit: close its
 			// credit-starvation interval (a no-op if none is open).
-			r.tr.Unblocked(l.port, l.vc, BlockNoCredit, cycle)
+			r.tr.Unblocked(int(l.port), int(l.vc), BlockNoCredit, cycle)
 		}
 		r.pendingOut.Set(o)
 		if r.onActive != nil && !r.activeHint {
@@ -459,8 +459,10 @@ func (r *Router) acceptFlit(port int, f flit.Flit, vc int, cycle int64) {
 
 // Inject offers a flit to input port/vc directly (used by injection
 // endpoints and tests). It reports whether buffer space was
-// available.
+// available, and panics if Flow, Seq or Dst does not fit in int32
+// (the width the input FIFOs store them at).
 func (r *Router) Inject(port, vc int, f flit.Flit, cycle int64) bool {
+	checkPackable(f)
 	if !r.in[port].canAccept(vc) {
 		return false
 	}
@@ -500,7 +502,7 @@ func (r *Router) announce(port, vc int, cycle int64) {
 	if pb.fifos[vc].notif || pb.empty(vc) {
 		return
 	}
-	r.announceHead(port, vc, pb.peek(vc).f, cycle)
+	r.announceHead(port, vc, pb.peek(vc), cycle)
 }
 
 // announceHead is announce when the caller already holds the head
@@ -991,24 +993,25 @@ func (r *Router) tryForward(o int, cycle int64, fx *Effects) (quiesce bool) {
 			v := bits.TrailingZeros64(part)
 			part &= part - 1
 			l := &locks[v]
+			ip, iv := int(l.port), int(l.vc) // input port and VC
 			r.cellsVisited++
-			pb := &r.in[l.port]
-			if pb.occVC&(1<<uint(l.vc)) == 0 {
+			pb := &r.in[ip]
+			if pb.occVC&(1<<uint(iv)) == 0 {
 				if l.traced {
-					r.tr.Blocked(l.port, l.vc, BlockInputEmpty, cycle)
+					r.tr.Blocked(ip, iv, BlockInputEmpty, cycle)
 				}
 				continue // hard: acceptFlit re-enqueues via inLockOut
 			}
-			if r.usedInput[l.port] {
+			if r.usedInput[ip] {
 				if l.traced {
-					r.tr.Blocked(l.port, l.vc, BlockContend, cycle)
+					r.tr.Blocked(ip, iv, BlockContend, cycle)
 				}
 				quiesce = false // transient: retry next cycle
 				continue
 			}
-			if pb.peekArrived(l.vc) >= cycle {
+			if pb.peekArrived(iv) >= cycle {
 				if l.traced {
-					r.tr.Blocked(l.port, l.vc, BlockArrival, cycle)
+					r.tr.Blocked(ip, iv, BlockArrival, cycle)
 				}
 				quiesce = false // transient: forwardable next cycle
 				continue
@@ -1018,27 +1021,27 @@ func (r *Router) tryForward(o int, cycle int64, fx *Effects) (quiesce bool) {
 			if gated {
 				if !r.gateAllows(o, v, cycle) {
 					if l.traced {
-						r.tr.Blocked(l.port, l.vc, BlockNoSpace, cycle)
+						r.tr.Blocked(ip, iv, BlockNoSpace, cycle)
 					}
 					continue
 				}
 			} else if crd[v] <= 0 {
 				if l.traced {
-					r.tr.Blocked(l.port, l.vc, BlockNoCredit, cycle)
+					r.tr.Blocked(ip, iv, BlockNoCredit, cycle)
 				}
 				continue // hard: creditArrived re-enqueues
 			}
-			f := pb.popFlit(l.vc)
+			f := pb.popFlit(iv)
 			r.work--
-			r.usedInput[l.port] = true
-			r.usedList = append(r.usedList, l.port)
+			r.usedInput[ip] = true
+			r.usedList = append(r.usedList, ip)
 			if !gated {
 				crd[v]--
 			}
-			if ur := r.credUpR[l.port]; ur != nil {
-				fx.credits = append(fx.credits, creditFx{r: ur, o: r.credUpPort[l.port], vc: l.vc, cycle: cycle})
-			} else if ret := r.credUp[l.port]; ret != nil {
-				fx.credits = append(fx.credits, creditFx{ret: ret, vc: l.vc, cycle: cycle})
+			if ur := r.credUpR[ip]; ur != nil {
+				fx.credits = append(fx.credits, creditFx{r: ur, o: r.credUpPort[ip], vc: iv, cycle: cycle})
+			} else if ret := r.credUp[ip]; ret != nil {
+				fx.credits = append(fx.credits, creditFx{ret: ret, vc: iv, cycle: cycle})
 			}
 			if fault != nil && fault.Drop(f, cycle) {
 				// Lost in transit: the link cycle and the downstream
@@ -1068,7 +1071,7 @@ func (r *Router) tryForward(o int, cycle int64, fx *Effects) (quiesce bool) {
 			}
 			if f.Kind == flit.Tail || f.Kind == flit.HeadTail {
 				if l.traced {
-					r.tr.Departed(l.port, l.vc, o, v, f, cycle)
+					r.tr.Departed(ip, iv, o, v, f, cycle)
 				}
 				r.completePacket(o, v, cycle)
 			}
@@ -1099,9 +1102,9 @@ func (r *Router) grantCell(o, v int, cycle int64) {
 	if r.in[port].empty(vc) {
 		panic("wormhole: arbiter granted a flow with no buffered head flit")
 	}
-	r.locks[cell] = lock{active: true, port: port, vc: vc, outVC: v, flow: flow, since: cycle}
+	r.locks[cell] = lock{active: true, port: int32(port), vc: int32(vc), flow: int32(flow), since: cycle}
 	if r.tr != nil {
-		if h := r.in[port].peek(vc).f; h.Traced {
+		if h := r.in[port].peek(vc); h.Traced {
 			r.locks[cell].traced = r.tr.Granted(port, vc, o, v, h.PktID, cycle)
 			r.inTraced[port*V+vc] = r.locks[cell].traced
 		}
@@ -1122,7 +1125,7 @@ func (r *Router) grantCell(o, v int, cycle int64) {
 func (r *Router) completePacket(o, v int, cycle int64) {
 	cell := o*r.cfg.VCs + v
 	l := &r.locks[cell]
-	port, vc, flow, occ := l.port, l.vc, l.flow, cycle-l.since
+	port, vc, flow, occ := int(l.port), int(l.vc), int(l.flow), cycle-l.since
 	r.locks[cell] = lock{}
 	r.outs[o].lockCount--
 	r.outs[o].lockVCs &^= 1 << uint(v)
@@ -1136,7 +1139,7 @@ func (r *Router) completePacket(o, v int, cycle int64) {
 	// viewpoint.
 	nowEmpty := true
 	if !pb.empty(vc) {
-		h := pb.peek(vc).f
+		h := pb.peek(vc)
 		if h.Kind == flit.Head || h.Kind == flit.HeadTail {
 			if o2, ov2 := r.headTarget(port, vc, h); o2 == o && ov2 == v {
 				nowEmpty = false
@@ -1291,13 +1294,14 @@ func (r *Router) WaitEdges(cycle int64) []WaitEdge {
 				continue
 			}
 			reason := "contended"
-			pb := &r.in[l.port]
+			port, vc := int(l.port), int(l.vc)
+			pb := &r.in[port]
 			switch {
 			case frozen:
 				reason = "frozen"
 			case stalled:
 				reason = "link-stalled"
-			case pb.empty(l.vc):
+			case pb.empty(vc):
 				reason = "input-empty"
 			case r.gateOut[o] != nil && !r.gateOut[o](v):
 				reason = "no-space"
@@ -1306,7 +1310,7 @@ func (r *Router) WaitEdges(cycle int64) []WaitEdge {
 			}
 			edges = append(edges, WaitEdge{
 				Router: r.id, OutPort: o, OutVC: v,
-				InPort: l.port, InVC: l.vc, Flow: l.flow,
+				InPort: port, InVC: vc, Flow: int(l.flow),
 				Occupancy: cycle - l.since, Reason: reason,
 			})
 		}
@@ -1336,7 +1340,7 @@ func (r *Router) DumpState() {
 			l := r.locks[cell]
 			if l.active {
 				fmt.Printf("router %d out (%d,%d): LOCKED in=(%d,%d) occ=%d fifo=%d crd=%d elig=%d\n",
-					r.id, o, v, l.port, l.vc, r.lastCycle-l.since, r.in[l.port].len(l.vc), r.crd[cell], r.eligible[cell])
+					r.id, o, v, l.port, l.vc, r.lastCycle-l.since, r.in[l.port].len(int(l.vc)), r.crd[cell], r.eligible[cell])
 			} else if r.eligible[cell] > 0 {
 				fmt.Printf("router %d out (%d,%d): idle but eligible=%d crd=%d\n", r.id, o, v, r.eligible[cell], r.crd[cell])
 			}
@@ -1345,7 +1349,7 @@ func (r *Router) DumpState() {
 	for p := range r.in {
 		for v := 0; v < V; v++ {
 			if !r.in[p].empty(v) {
-				h := r.in[p].peek(v).f
+				h := r.in[p].peek(v)
 				fmt.Printf("router %d in (%d,%d): %d flits, head %v dst=%d notified=%v\n",
 					r.id, p, v, r.in[p].len(v), h.Kind, h.Dst, r.in[p].fifos[v].notif)
 			}
