@@ -10,6 +10,7 @@ package repro
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -275,24 +276,36 @@ func BenchmarkWorkComplexityIWRR(b *testing.B) {
 // leave out by pre-backlogging before the timer starts: a flow's first
 // arrival. Each iteration builds a fresh scheduler, activates n flows
 // in the err-sweep order (every 8th id, then the rest) and serves each
-// one packet until idle. ns/flow must stay flat from 2^10 to 2^20
-// flows; per-flow tables that grow to exactly id+1 make it linear in n.
+// one packet until idle; the Engine lane does the same through
+// engine.Inject and RunUntilDrained under ERR, so it adds the per-flow
+// packet queues. ns/flow must stay flat from 2^10 to 2^20 flows;
+// per-flow tables that grow to exactly id+1 make it linear in n.
+// B/flow is the bytes allocated per flow activated.
 func BenchmarkFlowActivation(b *testing.B) {
-	for _, s := range []struct {
+	lanes := []struct {
 		name string
-		mk   func() sched.Scheduler
+		fill func(b *testing.B, ids []int)
 	}{
-		{"ERR", func() sched.Scheduler { return core.New() }},
-		{"DRR", func() sched.Scheduler { return sched.NewDRR(64, nil) }},
-		{"IWRR", func() sched.Scheduler { return sched.NewIWRR(func(f int) int { return f%4 + 1 }) }},
-	} {
+		{"ERR", func(_ *testing.B, ids []int) { activateAndDrain(core.New(), ids) }},
+		{"DRR", func(_ *testing.B, ids []int) { activateAndDrain(sched.NewDRR(64, nil), ids) }},
+		{"IWRR", func(_ *testing.B, ids []int) {
+			activateAndDrain(sched.NewIWRR(func(f int) int { return f%4 + 1 }), ids)
+		}},
+		{"Engine", func(b *testing.B, ids []int) { injectAndDrain(b, len(ids), ids) }},
+	}
+	for _, l := range lanes {
 		for n := 1 << 10; n <= 1<<20; n <<= 2 {
 			ids := sweepOrder(n)
-			b.Run(fmt.Sprintf("%s/n=%d", s.name, n), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s/n=%d", l.name, n), func(b *testing.B) {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
 				for i := 0; i < b.N; i++ {
-					activateAndDrain(s.mk(), ids)
+					l.fill(b, ids)
 				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/flow")
+				runtime.ReadMemStats(&after)
+				flows := float64(b.N * n)
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/flows, "ns/flow")
+				b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/flows, "B/flow")
 			})
 		}
 	}

@@ -16,6 +16,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/flit"
 	"repro/internal/queue"
@@ -98,7 +99,8 @@ type Config struct {
 	// without polling.
 	OnInject func(p flit.Packet, cycle int64)
 	// OnReject, if set, observes malformed packets refused at
-	// injection (zero-length, bad flow id) with the typed validation
+	// injection (zero-length, bad flow id, a length or destination
+	// outside int32) with the typed validation
 	// error. Rejected packets never enter a queue and never reach the
 	// scheduler; a nil OnReject simply drops them silently. Arrivals
 	// from a Source are validated the same way, so a fault-injected
@@ -108,25 +110,35 @@ type Config struct {
 
 // Engine simulates the configured system cycle by cycle.
 type Engine struct {
-	cfg    Config
-	queues []queue.PacketQueue
+	cfg Config
+	// queues holds every flow's packets in one shared slab: 12 bytes
+	// per flow plus one 32-byte slot per packet actually queued.
+	queues queue.FlowFIFOs[queued]
 	cycle  int64
 	nextID int64
 
-	// Packet-granularity service state.
+	// The optional interfaces of cfg.Scheduler and cfg.Stall,
+	// resolved once by NewEngine; nil when not implemented.
+	clock      sched.ClockAware
+	lengths    sched.LengthAware
+	cycleStall CycleStallModel
+
+	// Packet-granularity service state: the packet in service has
+	// left its queue.
 	inService bool
 	current   flit.Packet
 	sentFlits int
 	occupancy int64
 	stallLeft int
 
-	// Flit-granularity service state: per-flow partial packet.
-	partial   []flit.Packet
-	remaining []int
-	// partialFlows counts flows with remaining > 0, so the per-cycle
-	// pending check and Backlog are O(1) instead of O(flows).
-	partialFlows int
+	// Flit-granularity service state: a flow's packet in service
+	// stays at the head of its queue until its tail flit leaves, and
+	// sent counts the flits of it already forwarded.
+	sent []int32
 
+	// backlogPackets counts queued packets: in flit mode that includes
+	// the packets in service at their queue heads, so the per-cycle
+	// pending check and Backlog are O(1) instead of O(flows).
 	backlogPackets int
 	// backlogFlits counts flits injected but not yet forwarded, so
 	// conservation audits (injected = forwarded + in flight) are O(1).
@@ -142,31 +154,39 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if (cfg.Scheduler == nil) == (cfg.FlitSched == nil) {
 		return nil, errors.New("engine: exactly one of Scheduler or FlitSched must be set")
 	}
-	if cfg.Stall != nil && cfg.Scheduler != nil && !cfg.AllowLengthAwareStalls {
-		if _, ok := cfg.Scheduler.(sched.LengthAware); ok {
-			return nil, errors.New("engine: length-aware scheduler cannot run with a stall model (see Config.AllowLengthAwareStalls)")
-		}
-	}
 	e := &Engine{
 		cfg:    cfg,
-		queues: make([]queue.PacketQueue, cfg.Flows),
+		queues: queue.NewFlowFIFOs[queued](cfg.Flows),
+	}
+	e.clock, _ = cfg.Scheduler.(sched.ClockAware)
+	e.lengths, _ = cfg.Scheduler.(sched.LengthAware)
+	e.cycleStall, _ = cfg.Stall.(CycleStallModel)
+	if cfg.Stall != nil && e.lengths != nil && !cfg.AllowLengthAwareStalls {
+		return nil, errors.New("engine: length-aware scheduler cannot run with a stall model (see Config.AllowLengthAwareStalls)")
 	}
 	if cfg.FlitSched != nil {
-		e.partial = make([]flit.Packet, cfg.Flows)
-		e.remaining = make([]int, cfg.Flows)
+		e.sent = make([]int32, cfg.Flows)
 	}
 	return e, nil
+}
+
+// queued is a packet in its flow's queue; the flow is implied by the
+// queue. With the slab's link it fills a 32-byte slot, where a whole
+// flit.Packet would take 48.
+type queued struct {
+	arrival, id int64
+	length, dst int32
+}
+
+func (q queued) packet(flow int) flit.Packet {
+	return flit.Packet{Flow: flow, Length: int(q.length), Dst: int(q.dst), Arrival: q.arrival, ID: q.id}
 }
 
 // QueueLen implements traffic.QueueView: queued packets of a flow,
 // including any packet in service.
 func (e *Engine) QueueLen(flow int) int {
-	n := e.queues[flow].Len()
-	if e.cfg.Scheduler != nil {
-		if e.inService && e.current.Flow == flow {
-			n++
-		}
-	} else if e.remaining[flow] > 0 {
+	n := e.queues.Len(flow)
+	if e.inService && e.current.Flow == flow {
 		n++
 	}
 	return n
@@ -187,27 +207,29 @@ func (e *Engine) Rejected() int64 { return e.rejected }
 // Backlog returns the number of packets not yet fully served
 // (including any in service).
 func (e *Engine) Backlog() int {
-	n := e.backlogPackets
-	if e.cfg.Scheduler != nil {
-		if e.inService {
-			n++
-		}
-	} else {
-		n += e.partialFlows
+	if e.inService {
+		return e.backlogPackets + 1
 	}
-	return n
+	return e.backlogPackets
 }
 
 // Inject offers a packet to the engine (used by traffic sources,
 // tests and the switch substrate); the packet's Arrival and ID are
 // stamped by the engine. Malformed packets — zero-length, flow id
-// outside [0, Flows) — are rejected with a typed error (see
-// flit.ErrZeroLength, flit.ErrBadFlow), reported to OnReject, and
+// outside [0, Flows), a length or destination outside int32 — are
+// rejected with a typed error (see flit.ErrZeroLength,
+// flit.ErrBadFlow, flit.ErrFieldRange), reported to OnReject, and
 // never reach a queue or the scheduler.
 func (e *Engine) Inject(p flit.Packet) error {
 	err := p.Validate()
-	if err == nil && p.Flow >= e.cfg.Flows {
+	switch {
+	case err != nil:
+	case p.Flow >= e.cfg.Flows:
 		err = fmt.Errorf("%w: flow %d >= %d flows", flit.ErrBadFlow, p.Flow, e.cfg.Flows)
+	case p.Length > math.MaxInt32:
+		err = fmt.Errorf("%w: length %d > math.MaxInt32", flit.ErrFieldRange, p.Length)
+	case p.Dst < math.MinInt32 || p.Dst > math.MaxInt32:
+		err = fmt.Errorf("%w: dst %d outside int32", flit.ErrFieldRange, p.Dst)
 	}
 	if err != nil {
 		e.rejected++
@@ -219,15 +241,14 @@ func (e *Engine) Inject(p flit.Packet) error {
 	p.Arrival = e.cycle
 	p.ID = e.nextID
 	e.nextID++
-	q := &e.queues[p.Flow]
-	wasEmpty := q.Empty() && !e.flowBusy(p.Flow)
-	q.Push(p)
+	wasEmpty := e.QueueLen(p.Flow) == 0
+	e.queues.Push(p.Flow, queued{arrival: p.Arrival, id: p.ID, length: int32(p.Length), dst: int32(p.Dst)})
 	e.backlogPackets++
 	e.backlogFlits += int64(p.Length)
 	if s := e.cfg.Scheduler; s != nil {
 		s.OnArrival(p.Flow, wasEmpty)
-		if la, ok := s.(sched.LengthAware); ok {
-			la.OnArrivalLength(p.Flow, p.Length)
+		if e.lengths != nil {
+			e.lengths.OnArrivalLength(p.Flow, p.Length)
 		}
 	} else {
 		e.cfg.FlitSched.OnArrival(p.Flow, wasEmpty)
@@ -238,21 +259,11 @@ func (e *Engine) Inject(p flit.Packet) error {
 	return nil
 }
 
-// flowBusy reports whether flow has a packet mid-service.
-func (e *Engine) flowBusy(flow int) bool {
-	if e.cfg.Scheduler != nil {
-		return e.inService && e.current.Flow == flow
-	}
-	return e.remaining[flow] > 0
-}
-
 // Step advances the simulation by one cycle: arrivals first, then at
 // most one flit (or stall) of service.
 func (e *Engine) Step() {
-	if e.cfg.Scheduler != nil {
-		if ca, ok := e.cfg.Scheduler.(sched.ClockAware); ok {
-			ca.SetNow(e.cycle)
-		}
+	if e.clock != nil {
+		e.clock.SetNow(e.cycle)
 	}
 	if e.cfg.Source != nil {
 		for _, p := range e.cfg.Source.Arrivals(e.cycle, e) {
@@ -274,11 +285,10 @@ func (e *Engine) stepPacketMode() {
 			return
 		}
 		flow := e.cfg.Scheduler.NextFlow()
-		q := &e.queues[flow]
-		if q.Empty() {
+		if e.queues.Empty(flow) {
 			panic("engine: scheduler selected an empty flow")
 		}
-		e.current = q.Pop()
+		e.current = e.queues.Pop(flow).packet(flow)
 		e.backlogPackets--
 		e.inService = true
 		e.sentFlits = 0
@@ -310,53 +320,45 @@ func (e *Engine) stepPacketMode() {
 	if e.cfg.OnDeparture != nil {
 		e.cfg.OnDeparture(e.current, e.cycle, e.occupancy)
 	}
-	e.cfg.Scheduler.OnPacketDone(e.current.Flow, e.occupancy, e.queues[e.current.Flow].Empty())
+	e.cfg.Scheduler.OnPacketDone(e.current.Flow, e.occupancy, e.queues.Empty(e.current.Flow))
 }
 
 func (e *Engine) stepFlitMode() {
-	// Any flow with a partial packet or queued packets has flits;
-	// backlogPackets counts the queued ones and partialFlows the
-	// mid-service ones, so the check is O(1).
-	if e.backlogPackets == 0 && e.partialFlows == 0 {
+	if e.backlogPackets == 0 {
 		e.idle()
 		return
 	}
 	flow := e.cfg.FlitSched.NextFlow()
-	if e.remaining[flow] == 0 {
-		q := &e.queues[flow]
-		if q.Empty() {
-			panic("engine: flit scheduler selected an empty flow")
-		}
-		e.partial[flow] = q.Pop()
-		e.backlogPackets--
-		e.remaining[flow] = e.partial[flow].Length
-		e.partialFlows++
+	if e.queues.Empty(flow) {
+		panic("engine: flit scheduler selected an empty flow")
 	}
-	e.remaining[flow]--
+	head := e.queues.Peek(flow)
+	e.sent[flow]++
 	e.backlogFlits--
-	if e.remaining[flow] == 0 {
-		e.partialFlows--
+	end := e.sent[flow] == head.length
+	if end {
+		e.sent[flow] = 0
+		e.queues.Pop(flow)
+		e.backlogPackets--
 	}
 	if e.cfg.OnFlit != nil {
 		e.cfg.OnFlit(e.cycle, flow)
 	}
-	end := e.remaining[flow] == 0
 	if end && e.cfg.OnDeparture != nil {
-		e.cfg.OnDeparture(e.partial[flow], e.cycle, int64(e.partial[flow].Length))
+		e.cfg.OnDeparture(head.packet(flow), e.cycle, int64(head.length))
 	}
-	nowEmpty := end && e.queues[flow].Empty()
-	e.cfg.FlitSched.OnFlitDone(flow, end, nowEmpty)
+	e.cfg.FlitSched.OnFlitDone(flow, end, end && e.queues.Empty(flow))
 }
 
 func (e *Engine) stall(flow int) int {
-	if e.cfg.Stall == nil {
-		return 0
-	}
 	var s int
-	if cs, ok := e.cfg.Stall.(CycleStallModel); ok {
-		s = cs.FlitStallAt(flow, e.cycle)
-	} else {
+	switch {
+	case e.cycleStall != nil:
+		s = e.cycleStall.FlitStallAt(flow, e.cycle)
+	case e.cfg.Stall != nil:
 		s = e.cfg.Stall.FlitStall(flow)
+	default:
+		return 0
 	}
 	if s < 0 {
 		panic("engine: negative stall")

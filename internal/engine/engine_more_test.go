@@ -159,9 +159,11 @@ func TestFlitModeBacklogAccounting(t *testing.T) {
 }
 
 // TestFlitModeBacklogCounterMatchesScan cross-checks the O(1)
-// flit-mode backlog counter against a brute-force scan of the queues
-// at every cycle, over a workload that includes length-1 packets (a
-// packet that is popped and completed in the same step).
+// flit-mode backlog counter against a brute-force scan of the slab
+// queues at every cycle, over a workload that includes length-1
+// packets (a packet that starts and completes in the same step). A
+// packet in service stays at its queue's head, so the scan counts it
+// there, and a flow with no queued packet must have no flits sent.
 func TestFlitModeBacklogCounterMatchesScan(t *testing.T) {
 	const flows = 5
 	e, err := NewEngine(Config{Flows: flows, FlitSched: sched.NewFBRR()})
@@ -171,9 +173,9 @@ func TestFlitModeBacklogCounterMatchesScan(t *testing.T) {
 	scan := func() int {
 		n := 0
 		for f := 0; f < flows; f++ {
-			n += e.queues[f].Len()
-			if e.remaining[f] > 0 {
-				n++
+			n += e.queues.Len(f)
+			if e.queues.Empty(f) && e.sent[f] != 0 {
+				t.Fatalf("flow %d has no queued packet but %d flits sent", f, e.sent[f])
 			}
 		}
 		return n

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/flit"
@@ -77,5 +79,61 @@ func TestRejectedInjectionNeverReachesScheduler(t *testing.T) {
 	e.Run(20)
 	if e.Backlog() != 0 {
 		t.Fatal("backlog not drained after rejects")
+	}
+}
+
+// TestInjectRejectsUnpackableFields: queues store a packet's Length
+// and Dst in 32 bits, so Inject refuses values outside int32 with
+// flit.ErrFieldRange through OnReject instead of truncating them, and
+// the int32 extremes survive the queue unchanged.
+func TestInjectRejectsUnpackableFields(t *testing.T) {
+	for _, mode := range []string{"packet", "flit"} {
+		t.Run(mode, func(t *testing.T) {
+			cfg := Config{Flows: 2, Scheduler: sched.NewPBRR()}
+			if mode == "flit" {
+				cfg = Config{Flows: 2, FlitSched: sched.NewFBRR()}
+			}
+			var rejected []error
+			cfg.OnReject = func(p flit.Packet, cycle int64, err error) { rejected = append(rejected, err) }
+			var departed []flit.Packet
+			cfg.OnDeparture = func(p flit.Packet, cycle, occ int64) { departed = append(departed, p) }
+			e, err := NewEngine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range []flit.Packet{
+				{Flow: 0, Length: math.MaxInt32 + 1},
+				{Flow: 1, Length: 1, Dst: math.MaxInt32 + 1},
+				{Flow: 1, Length: 1, Dst: math.MinInt32 - 1},
+			} {
+				if err := e.Inject(p); !errors.Is(err, flit.ErrFieldRange) {
+					t.Errorf("Inject(%+v) = %v, want flit.ErrFieldRange", p, err)
+				}
+			}
+			if len(rejected) != 3 || e.Rejected() != 3 || e.Backlog() != 0 {
+				t.Fatalf("OnReject saw %d, Rejected() = %d, Backlog() = %d; want 3, 3, 0", len(rejected), e.Rejected(), e.Backlog())
+			}
+			want := []flit.Packet{{Flow: 0, Length: 2, Dst: math.MaxInt32}, {Flow: 1, Length: 1, Dst: math.MinInt32}}
+			for _, p := range want {
+				if err := e.Inject(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, drained := e.RunUntilDrained(10); !drained || len(departed) != 2 {
+				t.Fatalf("drained %v with %d departures, want 2", drained, len(departed))
+			}
+			for _, d := range departed {
+				w := want[d.Flow]
+				if d.Length != w.Length || d.Dst != w.Dst {
+					t.Errorf("flow %d departed with Length %d Dst %d, want %d %d", d.Flow, d.Length, d.Dst, w.Length, w.Dst)
+				}
+			}
+			if err := e.Inject(flit.Packet{Flow: 0, Length: math.MaxInt32}); err != nil {
+				t.Fatalf("Length math.MaxInt32 refused: %v", err)
+			}
+			if got := e.BacklogFlits(); got != math.MaxInt32 {
+				t.Fatalf("BacklogFlits = %d, want %d", got, math.MaxInt32)
+			}
+		})
 	}
 }

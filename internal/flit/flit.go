@@ -145,6 +145,9 @@ var (
 	ErrZeroLength = errors.New("flit: packet length < 1")
 	// ErrBadFlow marks a negative (or otherwise unroutable) flow id.
 	ErrBadFlow = errors.New("flit: bad flow id")
+	// ErrFieldRange marks a packet field too large for an injection
+	// point that stores it in 32 bits.
+	ErrFieldRange = errors.New("flit: packet field outside int32")
 	// ErrMissingTail marks a flit sequence that ends without a tail.
 	ErrMissingTail = errors.New("flit: missing tail flit")
 	// ErrDuplicateHead marks a head flit arriving inside an open packet.

@@ -8,6 +8,8 @@
 package harness
 
 import (
+	"fmt"
+
 	"repro/internal/flit"
 	"repro/internal/queue"
 	"repro/internal/sched"
@@ -15,8 +17,13 @@ import (
 
 // Driver owns per-flow queues and drives one scheduler.
 type Driver struct {
-	sched  sched.Scheduler
-	queues []queue.PacketQueue
+	sched sched.Scheduler
+	// clock and lengths are sched's optional interfaces, resolved
+	// once by New; nil when not implemented.
+	clock   sched.ClockAware
+	lengths sched.LengthAware
+	// queues holds every flow's packets in one shared slab.
+	queues queue.FlowFIFOs[flit.Packet]
 	served []int64 // cumulative flits served per flow
 	// CostFn maps a dequeued packet to the cost billed to the
 	// scheduler (default: its length). Experiments use it to model
@@ -30,11 +37,14 @@ type Driver struct {
 
 // New returns a driver over n flows for the given scheduler.
 func New(n int, s sched.Scheduler) *Driver {
-	return &Driver{
+	d := &Driver{
 		sched:  s,
-		queues: make([]queue.PacketQueue, n),
+		queues: queue.NewFlowFIFOs[flit.Packet](n),
 		served: make([]int64, n),
 	}
+	d.clock, _ = s.(sched.ClockAware)
+	d.lengths, _ = s.(sched.LengthAware)
+	return d
 }
 
 // Arrive appends a packet to its flow's queue and notifies the
@@ -44,16 +54,18 @@ func (d *Driver) Arrive(p flit.Packet) {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
-	q := &d.queues[p.Flow]
-	wasEmpty := q.Empty()
-	q.Push(p)
+	if p.Flow >= len(d.served) {
+		panic(fmt.Sprintf("harness: flow %d outside the driver's %d flows", p.Flow, len(d.served)))
+	}
+	wasEmpty := d.queues.Empty(p.Flow)
+	d.queues.Push(p.Flow, p)
 	d.backlog++
-	if ca, ok := d.sched.(sched.ClockAware); ok {
-		ca.SetNow(d.now)
+	if d.clock != nil {
+		d.clock.SetNow(d.now)
 	}
 	d.sched.OnArrival(p.Flow, wasEmpty)
-	if la, ok := d.sched.(sched.LengthAware); ok {
-		la.OnArrivalLength(p.Flow, p.Length)
+	if d.lengths != nil {
+		d.lengths.OnArrivalLength(p.Flow, p.Length)
 	}
 }
 
@@ -61,7 +73,7 @@ func (d *Driver) Arrive(p flit.Packet) {
 func (d *Driver) Backlog() int { return d.backlog }
 
 // QueueLen returns the number of packets queued for flow.
-func (d *Driver) QueueLen(flow int) int { return d.queues[flow].Len() }
+func (d *Driver) QueueLen(flow int) int { return d.queues.Len(flow) }
 
 // Served returns the cumulative flits served from flow.
 func (d *Driver) Served(flow int) int64 { return d.served[flow] }
@@ -75,11 +87,10 @@ func (d *Driver) ServeOne() flit.Packet {
 		panic("harness: ServeOne with no queued packets")
 	}
 	flow := d.sched.NextFlow()
-	q := &d.queues[flow]
-	if q.Empty() {
+	if d.queues.Empty(flow) {
 		panic("harness: scheduler selected an empty flow")
 	}
-	p := q.Pop()
+	p := d.queues.Pop(flow)
 	d.backlog--
 	cost := int64(p.Length)
 	if d.CostFn != nil {
@@ -87,7 +98,7 @@ func (d *Driver) ServeOne() flit.Packet {
 	}
 	d.served[flow] += int64(p.Length)
 	d.now += cost
-	d.sched.OnPacketDone(flow, cost, q.Empty())
+	d.sched.OnPacketDone(flow, cost, d.queues.Empty(flow))
 	if d.OnServe != nil {
 		d.OnServe(p, cost)
 	}

@@ -47,6 +47,7 @@ func TestDriverPanics(t *testing.T) {
 	d := New(1, sched.NewFCFS())
 	assertPanics(t, "ServeOne empty", func() { d.ServeOne() })
 	assertPanics(t, "invalid packet", func() { d.Arrive(flit.Packet{Flow: 0, Length: 0}) })
+	assertPanics(t, "flow past the driver", func() { d.Arrive(flit.Packet{Flow: 1, Length: 1}) })
 }
 
 func TestServeNStopsAtDrain(t *testing.T) {

@@ -25,16 +25,28 @@ type HistogramOpts struct {
 }
 
 // Histogram is a fixed-bucket distribution of int64 observations.
-// Observe is allocation-free: a bucket-index computation plus three
-// atomic operations.
+// Observe is a bucket-index computation plus three atomic operations.
+// It allocates only the first time an observation lands in one of a
+// linear layout's bucket pages; a log2 layout's 65 buckets are
+// allocated up front, so its Observe never allocates.
 type Histogram struct {
-	log2   bool
-	width  int64
-	counts []atomic.Int64
-	count  atomic.Int64
-	sum    atomic.Int64
-	max    atomic.Int64
+	log2     bool
+	width    int64
+	nbuckets int
+	// pages holds the buckets, histPageSize to a page. A nil page has
+	// no observations yet; Observe installs it with a CAS.
+	pages []atomic.Pointer[histPage]
+	count atomic.Int64
+	sum   atomic.Int64
+	max   atomic.Int64
 }
+
+// histPageSize is the number of buckets allocated together. A linear
+// histogram spans thousands of buckets of which a run typically
+// touches a few dozen, so paging keeps it to a few hundred bytes.
+const histPageSize = 64
+
+type histPage [histPageSize]atomic.Int64
 
 func newHistogram(opts HistogramOpts) *Histogram {
 	if !opts.Log2 && (opts.Width <= 0 || opts.Buckets <= 0) {
@@ -43,10 +55,17 @@ func newHistogram(opts HistogramOpts) *Histogram {
 	h := &Histogram{log2: opts.Log2, width: opts.Width}
 	if h.log2 {
 		// Bucket 0 for v <= 0, buckets 1..64 for the 64 powers of two.
-		h.counts = make([]atomic.Int64, 65)
+		h.nbuckets = 65
 	} else {
 		// One extra overflow bucket.
-		h.counts = make([]atomic.Int64, opts.Buckets+1)
+		h.nbuckets = opts.Buckets + 1
+	}
+	h.pages = make([]atomic.Pointer[histPage], (h.nbuckets+histPageSize-1)/histPageSize)
+	if h.log2 {
+		pages := make([]histPage, len(h.pages))
+		for i := range pages {
+			h.pages[i].Store(&pages[i])
+		}
 	}
 	return h
 }
@@ -65,8 +84,8 @@ func (h *Histogram) bucket(v int64) int {
 		if v > 0 {
 			i = int(v / h.width)
 		}
-		if i >= len(h.counts) {
-			i = len(h.counts) - 1
+		if i >= h.nbuckets {
+			i = h.nbuckets - 1
 		}
 	}
 	return i
@@ -84,15 +103,30 @@ func (h *Histogram) upper(i int) int64 {
 		}
 		return int64(1)<<i - 1
 	}
-	if i == len(h.counts)-1 {
+	if i == h.nbuckets-1 {
 		return h.max.Load()
 	}
 	return int64(i+1)*h.width - 1
 }
 
+// counter returns bucket i's counter, installing its page on first
+// touch. Of two racing installs the CAS keeps one, and both callers
+// count into it.
+func (h *Histogram) counter(i int) *atomic.Int64 {
+	pp := &h.pages[i/histPageSize]
+	p := pp.Load()
+	if p == nil {
+		p = new(histPage)
+		if !pp.CompareAndSwap(nil, p) {
+			p = pp.Load()
+		}
+	}
+	return &p[i%histPageSize]
+}
+
 // Observe records one value.
 func (h *Histogram) Observe(v int64) {
-	h.counts[h.bucket(v)].Add(1)
+	h.counter(h.bucket(v)).Add(1)
 	h.count.Add(1)
 	h.sum.Add(v)
 	for {
@@ -140,16 +174,23 @@ func (h *Histogram) Quantile(q float64) int64 {
 		rank = total - 1
 	}
 	var cum int64
-	for i := range h.counts {
-		cum += h.counts[i].Load()
-		if cum > rank {
-			u := h.upper(i)
-			if m := h.max.Load(); u > m {
-				// The top occupied bucket's nominal bound can exceed
-				// anything actually observed; the max is tighter.
-				u = m
+	for pi := range h.pages {
+		p := h.pages[pi].Load()
+		if p == nil {
+			continue // an untouched page holds no observations
+		}
+		for j := range p {
+			cum += p[j].Load()
+			if cum > rank {
+				u := h.upper(pi*histPageSize + j)
+				if m := h.max.Load(); u > m {
+					// The top occupied bucket's nominal bound can
+					// exceed anything actually observed; the max is
+					// tighter.
+					u = m
+				}
+				return u
 			}
-			return u
 		}
 	}
 	return h.max.Load()

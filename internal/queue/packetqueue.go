@@ -1,18 +1,16 @@
 // Package queue provides the O(1) data structures used by the
-// round-robin schedulers and the wormhole substrates: a growable ring
-// buffer of packets, a flit FIFO, and the ActiveList of flow ids that
-// the ERR and DRR disciplines cycle over.
+// round-robin schedulers and the wormhole substrates: per-flow FIFOs
+// sharing one slab, a growable ring buffer of packets, a flit FIFO,
+// and the ActiveList of flow ids that the ERR and DRR disciplines
+// cycle over.
 package queue
 
-import (
-	"fmt"
-
-	"repro/internal/flit"
-)
+import "repro/internal/flit"
 
 // PacketQueue is a FIFO of packets backed by a growable ring buffer.
 // The zero value is an empty queue ready to use. All operations are
-// amortised O(1).
+// amortised O(1). It serves one queue per NoC source; per-flow queues
+// over many flows use FlowFIFOs, whose idle flows hold no ring.
 type PacketQueue struct {
 	buf        []flit.Packet
 	head, size int
@@ -36,19 +34,6 @@ func (q *PacketQueue) Empty() bool { return q.size == 0 }
 // FlitBacklog returns the total number of flits across all queued
 // packets.
 func (q *PacketQueue) FlitBacklog() int64 { return q.flits }
-
-// PushChecked validates the packet and appends it, returning the
-// typed flit validation error for malformed packets (zero-length,
-// negative flow id) instead of silently accepting them. Injection
-// paths that may face malformed traffic use this; Push remains the
-// unchecked hot path for packets already validated upstream.
-func (q *PacketQueue) PushChecked(p flit.Packet) error {
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	q.Push(p)
-	return nil
-}
 
 // Push appends a packet to the tail of the queue.
 func (q *PacketQueue) Push(p flit.Packet) {
@@ -109,9 +94,4 @@ func (q *PacketQueue) resize(n int) {
 	}
 	q.buf = nb
 	q.head = 0
-}
-
-// String implements fmt.Stringer for debugging.
-func (q *PacketQueue) String() string {
-	return fmt.Sprintf("PacketQueue{len=%d flits=%d}", q.size, q.flits)
 }

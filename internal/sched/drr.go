@@ -27,11 +27,13 @@ type DRR struct {
 	name    string
 	quantum func(flow int) int64
 	active  queue.ActiveList
-	// deficit and lengths are indexed by flow id and grown on demand
-	// (flow ids are dense small integers; slices keep the hot path
-	// allocation-free).
+	// deficit is indexed by flow id and grown on demand (flow ids are
+	// dense small integers; a slice keeps the hot path
+	// allocation-free). lengths holds every flow's queued packet
+	// lengths in one shared slab, growing its header table the same
+	// way.
 	deficit []int64
-	lengths []*fifoInt
+	lengths queue.FlowFIFOs[int]
 	current int
 }
 
@@ -70,18 +72,12 @@ func NewOptDRR(quanta []int64) *DRR {
 	return d
 }
 
-// grow ensures the per-flow tables cover flow.
-func (d *DRR) grow(flow int) {
-	queue.Extend(&d.deficit, flow+1)
-	queue.Extend(&d.lengths, flow+1)
-}
-
 // Name implements Scheduler.
 func (d *DRR) Name() string { return d.name }
 
 // OnArrival implements Scheduler.
 func (d *DRR) OnArrival(flow int, wasEmpty bool) {
-	d.grow(flow)
+	queue.Extend(&d.deficit, flow+1)
 	if flow != d.current && !d.active.Contains(flow) {
 		d.active.PushTail(flow)
 		d.deficit[flow] = 0
@@ -90,27 +86,17 @@ func (d *DRR) OnArrival(flow int, wasEmpty bool) {
 
 // OnArrivalLength implements LengthAware.
 func (d *DRR) OnArrivalLength(flow int, length int) {
-	d.grow(flow)
-	q := d.lengths[flow]
-	if q == nil {
-		q = &fifoInt{}
-		d.lengths[flow] = q
-	}
-	q.push(length)
+	d.lengths.Push(flow, length)
 }
 
 // headLen returns the length of flow's head packet. It panics if the
 // engine never supplied it (the engine always pairs OnArrival with
 // OnArrivalLength for LengthAware schedulers).
 func (d *DRR) headLen(flow int) int64 {
-	var q *fifoInt
-	if flow < len(d.lengths) {
-		q = d.lengths[flow]
-	}
-	if q == nil || q.empty() {
+	if d.lengths.Empty(flow) {
 		panic("sched: DRR has no recorded length for head packet")
 	}
-	return int64(q.peek())
+	return int64(d.lengths.Peek(flow))
 }
 
 // NextFlow implements Scheduler.
@@ -141,7 +127,7 @@ func (d *DRR) OnPacketDone(flow int, cost int64, nowEmpty bool) {
 	if flow != d.current {
 		panic("sched: DRR completion for a flow not in service")
 	}
-	length := int64(d.lengths[flow].pop())
+	length := int64(d.lengths.Pop(flow))
 	d.deficit[flow] -= length
 	if d.deficit[flow] < 0 {
 		panic("sched: DRR deficit went negative")

@@ -39,8 +39,8 @@ func (f *FCFS) OnPacketDone(flow int, cost int64, nowEmpty bool) {
 	}
 }
 
-// fifoInt is a minimal growable ring buffer of ints shared by the
-// schedulers in this package.
+// fifoInt is a minimal growable ring buffer of ints: FCFS's global
+// arrival order.
 type fifoInt struct {
 	buf        []int
 	head, size int

@@ -230,34 +230,57 @@ func assertPanics(t *testing.T, name string, f func()) {
 	f()
 }
 
-// TestDRRTableSlackHasNoLength: flow ids in the per-flow tables'
-// capacity slack [len, cap) have no recorded length, no deficit and
-// are not active.
+// TestDRRTableSlackHasNoLength: flow ids past the highest activated
+// one, including the deficit table's capacity slack [len, cap), have
+// no recorded length, no deficit and are not active, and headLen
+// panics on them. Once every flow drains, no flow keeps a length in
+// the shared slab, and refilling reuses the freed slots with the new
+// lengths, not stale ones.
 func TestDRRTableSlackHasNoLength(t *testing.T) {
+	const n = 1000
 	d := NewDRR(64, nil)
-	for id := 0; id < 1000; id++ {
+	for id := 0; id < n; id++ {
 		d.OnArrival(id, true)
 		d.OnArrivalLength(id, 1)
 	}
-	if len(d.lengths) == cap(d.lengths) {
-		t.Fatalf("no capacity slack to probe (len = cap = %d)", cap(d.lengths))
+	if len(d.deficit) == cap(d.deficit) {
+		t.Fatalf("no capacity slack to probe (len = cap = %d)", cap(d.deficit))
 	}
-	for id := len(d.lengths); id < cap(d.lengths); id++ {
-		if d.lengths[:cap(d.lengths)][id] != nil || d.active.Contains(id) {
-			t.Fatalf("flow %d in capacity slack [%d, %d) has a length FIFO or is active", id, len(d.lengths), cap(d.lengths))
+	noLength := func(id int, where string) {
+		t.Helper()
+		if d.lengths.Len(id) != 0 || d.active.Contains(id) {
+			t.Fatalf("flow %d %s has a recorded length or is active", id, where)
 		}
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Fatalf("headLen(%d) in capacity slack did not panic", id)
+					t.Fatalf("headLen(%d) %s did not panic", id, where)
 				}
 			}()
 			d.headLen(id)
 		}()
 	}
+	for id := n; id < max(2*n, cap(d.deficit)); id++ {
+		noLength(id, "past the highest activated id")
+	}
 	for id := len(d.deficit); id < cap(d.deficit); id++ {
 		if v := d.deficit[:cap(d.deficit)][id]; v != 0 {
 			t.Fatalf("deficit[%d] in capacity slack = %d, want 0", id, v)
+		}
+	}
+	for i := 0; i < n; i++ {
+		d.OnPacketDone(d.NextFlow(), 1, true)
+	}
+	for id := 0; id < n; id++ {
+		noLength(id, "after the drain")
+	}
+	for id := n - 1; id >= 0; id-- {
+		d.OnArrival(id, true)
+		d.OnArrivalLength(id, 2)
+	}
+	for id := 0; id < n; id++ {
+		if got := d.headLen(id); got != 2 {
+			t.Fatalf("refilled flow %d: headLen = %d, want 2", id, got)
 		}
 	}
 }

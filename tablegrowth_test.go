@@ -14,6 +14,8 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
+	"repro/internal/flit"
 	"repro/internal/queue"
 	"repro/internal/sched"
 	"repro/internal/serve"
@@ -50,6 +52,26 @@ func activateAndDrain(s sched.Scheduler, ids []int) {
 	}
 }
 
+// injectAndDrain builds an ERR engine over n flows, injects one
+// one-flit packet into every id in ids, in order, and runs it until
+// drained. It returns the engine so callers can measure what it
+// retains.
+func injectAndDrain(tb testing.TB, n int, ids []int) *engine.Engine {
+	e, err := engine.NewEngine(engine.Config{Flows: n, Scheduler: core.New()})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, id := range ids {
+		if err := e.Inject(flit.Packet{Flow: id, Length: 1}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if _, drained := e.RunUntilDrained(int64(2 * len(ids))); !drained {
+		tb.Fatalf("engine over %d flows did not drain", n)
+	}
+	return e
+}
+
 func TestPerFlowTablesGrowAmortized(t *testing.T) {
 	const n = 1 << 16
 	ids := sweepOrder(n)
@@ -70,9 +92,9 @@ func TestPerFlowTablesGrowAmortized(t *testing.T) {
 		}},
 		// sc, zeroed at every activation.
 		{"ERR", 8 + list, func() { activateAndDrain(core.New(), ids) }},
-		// deficit, lengths, and each flow's length FIFO (a 48-byte
-		// header and a 64-byte ring).
-		{"DRR", 8 + 8 + 48 + 64 + list, func() { activateAndDrain(sched.NewDRR(64, nil), ids) }},
+		// deficit, a 12-byte length-FIFO header, and one 16-byte
+		// slab slot for the flow's queued length.
+		{"DRR", 8 + 12 + 16 + list, func() { activateAndDrain(sched.NewDRR(64, nil), ids) }},
 		// rem, stamp, and three ActiveLists (cur, next, parked).
 		{"IWRR", 8 + 8 + 3*list, func() { activateAndDrain(sched.NewIWRR(nil), ids) }},
 		// sc, written when each flow's opportunity closes.
@@ -85,6 +107,9 @@ func TestPerFlowTablesGrowAmortized(t *testing.T) {
 				w.OnServiceDone(f, w.OnDispatch(f, true), 1)
 			}
 		}},
+		// A 12-byte queue header and one 32-byte slab slot for the
+		// flow's queued packet, under ERR's sc and ActiveList.
+		{"Engine", 12 + 32 + 8 + list, func() { injectAndDrain(t, n, ids) }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -101,5 +126,29 @@ func TestPerFlowTablesGrowAmortized(t *testing.T) {
 					n, got, limit, c.perFlow)
 			}
 		})
+	}
+}
+
+// TestEngineRetainedHeapPerFlow bounds what a drained engine keeps
+// live per flow. Its queues share one packet slab: a 12-byte header
+// per flow, plus the slab's peak of queued packets, whose slots sit on
+// the free list after the drain. With one ring per flow (a 48-byte
+// header and a 320-byte ring that Pop never frees) the same fill
+// retains about 380 bytes per flow.
+func TestEngineRetainedHeapPerFlow(t *testing.T) {
+	const n = 1 << 16
+	const limit = 128 // bytes per flow
+	ids := sweepOrder(n)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	e := injectAndDrain(t, n, ids)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(e)
+	perFlow := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / n
+	t.Logf("drained engine over %d flows retains %d B/flow", n, perFlow)
+	if perFlow > limit {
+		t.Errorf("drained engine over %d flows retains %d B/flow, want <= %d", n, perFlow, limit)
 	}
 }
