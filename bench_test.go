@@ -447,8 +447,10 @@ func BenchmarkMeshStep(b *testing.B) {
 // benchMeshStepping measures one mesh cycle under a stepping mode:
 // "full" iterates every router each cycle (the pre-active-set
 // behaviour), "quiescent" steps only routers holding flits or locks,
-// and "sharded" additionally fans the compute phase across a worker
-// pool. A warm phase reaches steady state first so the active set
+// and "sharded" additionally attaches a worker pool, which a cycle
+// fans out over only when its active routers pay for it (noc's
+// stepGrain): a 16x16 mesh holds too few, so its sharded4 rows step
+// inline. A warm phase reaches steady state first so the active set
 // reflects the sustained load, not the cold start.
 func benchMeshStepping(b *testing.B, k int, rate float64, mode string, workers int) {
 	m, err := noc.NewMesh(noc.Config{
@@ -564,7 +566,9 @@ func BenchmarkNoCStepping(b *testing.B) {
 // allocation gate to the tiled commit path: tile arenas, worker
 // scratch, boundary effect queues, and the per-cycle tile task list
 // are all preallocated, so steady-state stepping must allocate
-// nothing at any worker count.
+// nothing at any worker count. A pooled case fails unless its steady
+// state fans out over the pool, so a -w4 label means a parallel
+// commit.
 func benchTiledStepping(b *testing.B, k, tile, workers int) {
 	m, err := noc.NewMesh(noc.Config{
 		K: k, VCs: 2, BufFlits: 2, Torus: true, Tile: tile,
@@ -592,6 +596,20 @@ func benchTiledStepping(b *testing.B, k, tile, workers int) {
 	for i := 0; i < b.N; i++ {
 		inj.Step()
 		m.Step()
+	}
+	b.StopTimer()
+	if workers > 1 {
+		// Telemetry attaches only now, so the timed loop runs
+		// without it.
+		reg := obs.NewRegistry()
+		m.RegisterObs(reg)
+		for c := 0; c < 64; c++ {
+			inj.Step()
+			m.Step()
+		}
+		if reg.Counter("noc.fanout_cycles").Value() == 0 {
+			b.Fatalf("%d workers attached but no cycle fanned out: this case measures inline stepping", workers)
+		}
 	}
 }
 

@@ -337,9 +337,11 @@ func run(exp string, cycles int64, seed uint64, intervals, repeats, parallel int
 		p.Shard, p.Of = shard, of
 		if cycles > 0 {
 			// Fixed per-point cycle count instead of the router-cycle
-			// budget (quick runs, CI smoke).
+			// budget, and a warm-up capped at the same count (quick
+			// runs, CI smoke).
 			p.RouterCycles = 0
 			p.MinCycles = cycles
+			p.MaxWarmCycles = cycles
 		}
 		if len(mergeSrcs) > 0 {
 			// Merge per-shard checkpoints into -checkpoint and stop;

@@ -225,6 +225,11 @@ func run(k, vcs, buf, tile int, arb, pattern string, rate float64, minLen, maxLe
 		fmt.Printf("stepping: avg %.1f of %d routers active per cycle (high water %d)\n",
 			float64(comp)/float64(cyc), m.Nodes(),
 			obs.Default().Gauge("noc.active_routers_high_water").Value())
+		// The fan-out share depends on the worker count by design, so
+		// it goes to stderr and stdout stays identical at any -parallel-mesh.
+		stepped := cyc - obs.Default().Counter("noc.cycles_skipped").Value()
+		fmt.Fprintf(os.Stderr, "stepping: fanned out over the pool on %.1f%% of %d stepped cycles\n",
+			100*float64(obs.Default().Counter("noc.fanout_cycles").Value())/float64(max(stepped, 1)), stepped)
 		mode := "work-list"
 		if fullScan {
 			mode = "full-scan"

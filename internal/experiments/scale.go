@@ -43,8 +43,13 @@ type ScaleParams struct {
 	// lane stays tractable on one machine.
 	RouterCycles int64
 	MinCycles    int64
-	MinLen       int
-	MaxLen       int
+
+	// MaxWarmCycles caps each point's warm-up (noc.WarmUp); a point
+	// that hits the cap is measured anyway and marked not stationary.
+	MaxWarmCycles int64
+
+	MinLen int
+	MaxLen int
 	// ParetoAlpha/ParetoMax shape the bounded-Pareto length lane
 	// (lengths on [MinLen, ParetoMax]).
 	ParetoAlpha float64
@@ -76,20 +81,21 @@ type ScaleParams struct {
 // lanes 1/2/4/8 on the 256x256 torus.
 func DefaultScaleParams() ScaleParams {
 	return ScaleParams{
-		Ks:           []int{256, 512, 1024},
-		VCs:          2,
-		BufFlits:     2,
-		Rate:         0.02,
-		RouterCycles: 100_000_000,
-		MinCycles:    96,
-		MinLen:       1,
-		MaxLen:       8,
-		ParetoAlpha:  1.2,
-		ParetoMax:    64,
-		HotFrac:      0.05,
-		StepWorkers:  []int{1, 2, 4, 8},
-		Seed:         1,
-		Workers:      1,
+		Ks:            []int{256, 512, 1024},
+		VCs:           2,
+		BufFlits:      2,
+		Rate:          0.02,
+		RouterCycles:  100_000_000,
+		MinCycles:     96,
+		MaxWarmCycles: 4096,
+		MinLen:        1,
+		MaxLen:        8,
+		ParetoAlpha:   1.2,
+		ParetoMax:     64,
+		HotFrac:       0.05,
+		StepWorkers:   []int{1, 2, 4, 8},
+		Seed:          1,
+		Workers:       1,
 	}
 }
 
@@ -100,6 +106,10 @@ type ScalePoint struct {
 	Lane    string // uniform | hotspot | pareto | workers-N
 	Workers int    // stepping workers (1 = serial)
 	Cycles  int64
+	// WarmupCycles is the warm-up length (noc.WarmUp); Stationary is
+	// false when the warm-up hit MaxWarmCycles before steady state.
+	WarmupCycles int64
+	Stationary   bool
 	// Wall-clock stepping cost (injector included, warm excluded).
 	NsPerCycle       float64
 	NsPerCycleRouter float64
@@ -197,11 +207,10 @@ func runScalePoint(p ScaleParams, k, workers int, lane string,
 	inj.MaxPending = 2
 
 	cycles := p.scaleCycles(k)
-	warm := cycles / 2
-	for c := int64(0); c < warm; c++ {
+	warm, stationary := noc.WarmUp(m, p.MaxWarmCycles, func() {
 		inj.Step()
 		m.Step()
-	}
+	})
 	cross0 := m.CrossShardEffects()
 	computes0 := obs.Default().Counter("noc.router_computes").Value()
 	t0 := time.Now()
@@ -227,6 +236,8 @@ func runScalePoint(p ScaleParams, k, workers int, lane string,
 		Lane:                lane,
 		Workers:             workers,
 		Cycles:              cycles,
+		WarmupCycles:        warm,
+		Stationary:          stationary,
 		NsPerCycle:          nsPerCycle,
 		NsPerCycleRouter:    nsPerCycle / float64(k*k),
 		ArenaBytesPerRouter: m.BytesPerRouter(),
@@ -299,9 +310,9 @@ func RunScale(p ScaleParams) (*ScaleResult, error) {
 // the per-shard checkpoints and resume to render the full table.
 func (r *ScaleResult) Render(w io.Writer) error {
 	if _, err := fmt.Fprintf(w,
-		"Torus scale sweep — cores=%d GOMAXPROCS=%d (wall-clock columns are host-dependent)\n%-6s %-10s %-8s %-8s %14s %14s %10s %10s %7s %10s %12s %10s\n",
+		"Torus scale sweep — cores=%d GOMAXPROCS=%d (wall-clock columns are host-dependent; * = warm-up hit its cap before steady state)\n%-6s %-10s %-8s %-8s %7s %14s %14s %10s %10s %7s %10s %12s %10s\n",
 		r.Cores, r.GOMAXPROCS,
-		"K", "lane", "workers", "cycles", "ns/cycle", "ns/cyc/router",
+		"K", "lane", "workers", "cycles", "warm", "ns/cycle", "ns/cyc/router",
 		"arenaB/r", "heapB/r", "tile", "xtile%", "delivered", "latency"); err != nil {
 		return err
 	}
@@ -312,8 +323,12 @@ func (r *ScaleResult) Render(w io.Writer) error {
 			}
 			continue
 		}
-		if _, err := fmt.Fprintf(w, "%-6d %-10s %-8d %-8d %14.0f %14.3f %10d %10d %7d %9.2f%% %12d %10.1f\n",
-			pt.K, pt.Lane, pt.Workers, pt.Cycles, pt.NsPerCycle, pt.NsPerCycleRouter,
+		warm := fmt.Sprint(pt.WarmupCycles)
+		if !pt.Stationary {
+			warm += "*"
+		}
+		if _, err := fmt.Fprintf(w, "%-6d %-10s %-8d %-8d %7s %14.0f %14.3f %10d %10d %7d %9.2f%% %12d %10.1f\n",
+			pt.K, pt.Lane, pt.Workers, pt.Cycles, warm, pt.NsPerCycle, pt.NsPerCycleRouter,
 			pt.ArenaBytesPerRouter, pt.HeapBytesPerRouter, pt.TileEdge,
 			100*pt.CrossShardShare, pt.DeliveredPackets, pt.MeanLatency); err != nil {
 			return err

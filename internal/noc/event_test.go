@@ -25,6 +25,7 @@ type eventRunOpts struct {
 	spec     string // fault spec, "" = clean
 	stepped  bool   // SetStepped oracle mode
 	workers  int    // > 0: attach an exec.Pool of this size
+	grain    int    // > 0: override the fan-out grain (stepGrain)
 	bursts   []int64
 	perBurst int
 	run      int64
@@ -48,6 +49,9 @@ func eventRun(t *testing.T, o eventRunOpts) (runArtifacts, int64) {
 		p := exec.NewPool(o.workers)
 		defer p.Close()
 		m.SetPool(p)
+	}
+	if o.grain > 0 {
+		m.grain = o.grain
 	}
 	if o.spec != "" {
 		spec, err := fault.Parse(o.spec)
@@ -96,7 +100,7 @@ func eventRun(t *testing.T, o eventRunOpts) (runArtifacts, int64) {
 		latMin:   m.Latency.Min(),
 		latMax:   m.Latency.Max(),
 		obs:      reg.Snapshot(),
-	}, m.Skipped()
+	}.takeFanouts(), m.Skipped()
 }
 
 // assertEventMatchesStepped runs a scenario in both modes and pins the
@@ -351,97 +355,145 @@ func TestDrainHorizonClamp(t *testing.T) {
 	}
 }
 
+// meshEventSeeds and meshEventTileSeeds are FuzzMeshEventOracle's
+// seed corpus. The last two plain seeds pick explicit 1x1 (every
+// commit crosses a boundary) and 2x2 (uneven edge tiles on K=3)
+// tilings, but carry one or two packets, too few to keep two tiles
+// busy at once. The tile seeds take the same headers with a burst of
+// six 6-flit packets across the mesh; TestMeshEventOracleTileSeedsFanOut
+// requires each of them to fan out over the pool.
+var (
+	meshEventSeeds = [][]byte{
+		{0x03, 0x10, 0x08, 0x04, 0x02, 0x30, 0x00, 0x01, 0x53, 0x22, 0x90, 0x07},
+		{0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xff, 0x00, 0xff, 0x00, 0xff},
+		{0x05, 0x20, 0x00, 0x07, 0x01, 0x10, 0x00, 0x10, 0x20, 0x30, 0x40, 0x50},
+		{0x03, 0x10, 0x08, 0x04, 0x02, 0x30, 0x01, 0x53, 0x22, 0x90, 0x07, 0x11},
+		{0x05, 0x20, 0x00, 0x07, 0x01, 0x10, 0x02, 0x10, 0x20, 0x30, 0x40, 0x50},
+	}
+	meshEventTileSeeds = [][]byte{
+		{0x03, 0x10, 0x08, 0x04, 0x02, 0x30, 0x01,
+			0x00, 0x08, 0x05, 0x00, 0x80, 0x05, 0x00, 0x26, 0x05,
+			0x00, 0x62, 0x05, 0x00, 0x17, 0x05, 0x00, 0x71, 0x05},
+		{0x05, 0x20, 0x00, 0x07, 0x01, 0x10, 0x02,
+			0x00, 0x08, 0x05, 0x00, 0x80, 0x05, 0x00, 0x26, 0x05,
+			0x00, 0x62, 0x05, 0x00, 0x17, 0x05, 0x00, 0x71, 0x05},
+	}
+)
+
 // FuzzMeshEventOracle feeds arbitrary burst scripts AND
 // arbitrarily-windowed stall/freeze faults to event-driven and
 // stepped Run/Drain and requires byte-identical delivery logs — a
 // coverage-guided search for a window placement whose dormancy
 // analysis skips a cycle that mattered. hdr[6] picks the commit tile
 // edge (0 = auto), so the search also covers every tiling of the K=3
-// mesh, 1x1 boundary-only through 3x3 single-tile. Run with
+// mesh, 1x1 boundary-only through 3x3 single-tile. The event run
+// steps on a 2-worker pool at a fan-out grain of one router, so the
+// production path (event core, tiled parallel commit) is checked
+// against the serial stepped oracle. Run with
 // `go test -fuzz FuzzMeshEventOracle ./internal/noc`.
 func FuzzMeshEventOracle(f *testing.F) {
-	f.Add([]byte{0x03, 0x10, 0x08, 0x04, 0x02, 0x30, 0x00, 0x01, 0x53, 0x22, 0x90, 0x07})
-	f.Add([]byte{0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xff, 0x00, 0xff, 0x00, 0xff})
-	f.Add([]byte{0x05, 0x20, 0x00, 0x07, 0x01, 0x10, 0x00, 0x10, 0x20, 0x30, 0x40, 0x50})
-	// Tiled configs: explicit 1x1 (every commit crosses a boundary) and
-	// 2x2 (uneven edge tiles on K=3) under faulted bursty traffic.
-	f.Add([]byte{0x03, 0x10, 0x08, 0x04, 0x02, 0x30, 0x01, 0x53, 0x22, 0x90, 0x07, 0x11})
-	f.Add([]byte{0x05, 0x20, 0x00, 0x07, 0x01, 0x10, 0x02, 0x10, 0x20, 0x30, 0x40, 0x50})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 7 {
-			return
+	for _, seed := range append(meshEventSeeds, meshEventTileSeeds...) {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) { meshEventOracle(t, data) })
+}
+
+// TestMeshEventOracleTileSeedsFanOut pins that FuzzMeshEventOracle's
+// tile corpus reaches the parallel commit: each tile seed's event run
+// must fan out over the pool at least once.
+func TestMeshEventOracleTileSeedsFanOut(t *testing.T) {
+	for i, seed := range meshEventTileSeeds {
+		if n := meshEventOracle(t, seed); n == 0 {
+			t.Errorf("tile seed %d never fanned out over the pool", i)
 		}
-		if len(data) > 96 {
-			data = data[:96]
+	}
+}
+
+// meshEventOracle is one FuzzMeshEventOracle case; it returns the
+// event run's noc.fanout_cycles.
+func meshEventOracle(t *testing.T, data []byte) int64 {
+	t.Helper()
+	if len(data) < 7 {
+		return 0
+	}
+	if len(data) > 96 {
+		data = data[:96]
+	}
+	hdr, script := data[:7], data[7:]
+	tile := int(hdr[6] % 4) // 0 = auto, else explicit 1..3
+	var specs []string
+	if hdr[0]%4 != 0 {
+		// dur==0 is a permanent stall: the wedged network must still
+		// agree between modes, including the horizon landing.
+		s := fmt.Sprintf("stall(router=%d,port=%d,at=%d", hdr[0]%9, 1+int(hdr[1]%4), int64(hdr[1])*16)
+		if dur := int64(hdr[2]) * 8; dur > 0 {
+			s += fmt.Sprintf(",dur=%d", dur)
 		}
-		hdr, script := data[:7], data[7:]
-		tile := int(hdr[6] % 4) // 0 = auto, else explicit 1..3
-		var specs []string
-		if hdr[0]%4 != 0 {
-			// dur==0 is a permanent stall: the wedged network must still
-			// agree between modes, including the horizon landing.
-			s := fmt.Sprintf("stall(router=%d,port=%d,at=%d", hdr[0]%9, 1+int(hdr[1]%4), int64(hdr[1])*16)
-			if dur := int64(hdr[2]) * 8; dur > 0 {
-				s += fmt.Sprintf(",dur=%d", dur)
-			}
-			specs = append(specs, s+")")
+		specs = append(specs, s+")")
+	}
+	if hdr[3]%4 != 0 {
+		specs = append(specs, fmt.Sprintf("freeze(router=%d,at=%d,dur=%d)",
+			hdr[3]%9, int64(hdr[4])*16, 1+int64(hdr[5])*8))
+	}
+	faultSpec := strings.Join(specs, ";")
+	run := func(stepped bool) ([]delivRec, int64, int, int64) {
+		m, err := NewMesh(Config{K: 3, VCs: 2, BufFlits: 2, Tile: tile,
+			NewArb: func() sched.Scheduler { return core.New() }})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if hdr[3]%4 != 0 {
-			specs = append(specs, fmt.Sprintf("freeze(router=%d,at=%d,dur=%d)",
-				hdr[3]%9, int64(hdr[4])*16, 1+int64(hdr[5])*8))
+		m.SetStepped(stepped)
+		reg := obs.NewRegistry()
+		m.RegisterObs(reg)
+		if !stepped {
+			p := exec.NewPool(2)
+			defer p.Close()
+			pooled(m, p)
 		}
-		faultSpec := strings.Join(specs, ";")
-		run := func(stepped bool) ([]delivRec, int64, int) {
-			m, err := NewMesh(Config{K: 3, VCs: 2, BufFlits: 2, Tile: tile,
-				NewArb: func() sched.Scheduler { return core.New() }})
+		if faultSpec != "" {
+			spec, err := fault.Parse(faultSpec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			m.SetStepped(stepped)
-			if faultSpec != "" {
-				spec, err := fault.Parse(faultSpec)
-				if err != nil {
-					t.Fatal(err)
-				}
-				m.InstallFaults(fault.New(spec, 11))
-			}
-			var log []delivRec
-			for id := range m.sinks {
-				id := id
-				m.sinks[id].OnFlit = func(fl flit.Flit, vc int, cycle int64) {
-					log = append(log, delivRec{node: id, flow: fl.Flow, seq: fl.Seq,
-						vc: vc, kind: fl.Kind, pkt: fl.PktID, cycle: cycle})
-				}
-			}
-			at := int64(0)
-			for i := 0; i+2 < len(script); i += 3 {
-				at += int64(script[i]) * 4 // gaps up to ~1000 cycles
-				src := int(script[i+1]>>4) % m.Nodes()
-				dst := int(script[i+1]&0xf) % m.Nodes()
-				if src == dst {
-					dst = (dst + 1) % m.Nodes()
-				}
-				m.SendAt(at, src, dst, 1+int(script[i+2]%6))
-			}
-			m.Run(at + 1)
-			m.Drain(20_000)
-			return log, m.Cycle(), m.InFlight()
+			m.InstallFaults(fault.New(spec, 11))
 		}
-		wantLog, wantCycle, wantInFlight := run(true)
-		gotLog, gotCycle, gotInFlight := run(false)
-		if wantCycle != gotCycle {
-			t.Fatalf("final cycles diverge: stepped %d, event %d (faults %q)", wantCycle, gotCycle, faultSpec)
-		}
-		if wantInFlight != gotInFlight {
-			t.Fatalf("in-flight counts diverge: stepped %d, event %d (faults %q)", wantInFlight, gotInFlight, faultSpec)
-		}
-		if len(wantLog) != len(gotLog) {
-			t.Fatalf("delivery counts diverge: stepped %d, event %d (faults %q)", len(wantLog), len(gotLog), faultSpec)
-		}
-		for i := range wantLog {
-			if wantLog[i] != gotLog[i] {
-				t.Fatalf("delivery %d diverges: stepped %+v, event %+v (faults %q)", i, wantLog[i], gotLog[i], faultSpec)
+		var log []delivRec
+		for id := range m.sinks {
+			id := id
+			m.sinks[id].OnFlit = func(fl flit.Flit, vc int, cycle int64) {
+				log = append(log, delivRec{node: id, flow: fl.Flow, seq: fl.Seq,
+					vc: vc, kind: fl.Kind, pkt: fl.PktID, cycle: cycle})
 			}
 		}
-	})
+		at := int64(0)
+		for i := 0; i+2 < len(script); i += 3 {
+			at += int64(script[i]) * 4 // gaps up to ~1000 cycles
+			src := int(script[i+1]>>4) % m.Nodes()
+			dst := int(script[i+1]&0xf) % m.Nodes()
+			if src == dst {
+				dst = (dst + 1) % m.Nodes()
+			}
+			m.SendAt(at, src, dst, 1+int(script[i+2]%6))
+		}
+		m.Run(at + 1)
+		m.Drain(20_000)
+		return log, m.Cycle(), m.InFlight(), reg.Counter("noc.fanout_cycles").Value()
+	}
+	wantLog, wantCycle, wantInFlight, _ := run(true)
+	gotLog, gotCycle, gotInFlight, fanouts := run(false)
+	if wantCycle != gotCycle {
+		t.Fatalf("final cycles diverge: stepped %d, event %d (faults %q)", wantCycle, gotCycle, faultSpec)
+	}
+	if wantInFlight != gotInFlight {
+		t.Fatalf("in-flight counts diverge: stepped %d, event %d (faults %q)", wantInFlight, gotInFlight, faultSpec)
+	}
+	if len(wantLog) != len(gotLog) {
+		t.Fatalf("delivery counts diverge: stepped %d, event %d (faults %q)", len(wantLog), len(gotLog), faultSpec)
+	}
+	for i := range wantLog {
+		if wantLog[i] != gotLog[i] {
+			t.Fatalf("delivery %d diverges: stepped %+v, event %+v (faults %q)", i, wantLog[i], gotLog[i], faultSpec)
+		}
+	}
+	return fanouts
 }

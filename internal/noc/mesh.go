@@ -311,6 +311,8 @@ type Mesh struct {
 	groupBound []int
 	tileIDs    []int
 	tileCycle  int64
+	// Tiles with an active router this cycle; stepGrain (tests lower it).
+	busyTiles, grain int
 	// parCommit is set for the duration of the parallel tile phase:
 	// the routers' onActive hooks switch to the active set's CAS path.
 	// Written only by the stepping goroutine, strictly before and
@@ -364,6 +366,7 @@ type Mesh struct {
 	obsWorklistLen     *obs.Gauge
 	obsCyclesSkipped   *obs.Counter
 	obsCrossShard      *obs.Counter
+	obsFanout          *obs.Counter
 	obsBytesPerRouter  *obs.Gauge
 
 	// Latency accumulates end-to-end packet latencies (inject of head
@@ -393,6 +396,12 @@ func autoTile(k int) int {
 		return 32
 	}
 }
+
+// stepGrain is the number of active routers per worker below which
+// fanning a cycle out costs more than it saves: BenchmarkNoCFanOut's
+// paired table (BENCH_noc.json "fan_out_crossover", 2-vCPU Xeon) reads
+// a speedup of 0.80-0.90 at 490-535 active routers, 1.07-1.15 at 860-940.
+const stepGrain = 384
 
 // routeTableNodes caps the precomputed per-router routing tables:
 // below it every router gets a dst -> output-port byte table (n bytes
@@ -445,6 +454,7 @@ func NewMesh(cfg Config) (*Mesh, error) {
 		tileStart:        make([]int32, numTiles+1),
 		tileOff:          make([]int32, numTiles+1),
 		rest:             make([]wormhole.Effects, numTiles),
+		grain:            stepGrain,
 		DeliveredFlits:   make([]int64, n),
 		DeliveredPackets: make([]int64, n),
 	}
@@ -797,10 +807,10 @@ func (m *Mesh) InFlight() int { return len(m.inflight) }
 // Cycle returns the current cycle.
 func (m *Mesh) Cycle() int64 { return m.cycle }
 
-// SetPool attaches a persistent worker pool: Step (and so Run and
-// Drain) shards its compute phase across it, exactly as StepParallel
-// does. nil restores serial compute. Artifacts are identical either
-// way.
+// SetPool attaches a persistent worker pool that Step (and so Run and
+// Drain) fans a cycle's tile phase out over when the cycle holds
+// enough active routers (planGroups). nil restores serial stepping.
+// Artifacts are identical either way.
 func (m *Mesh) SetPool(p *exec.Pool) { m.pool = p }
 
 // SetFullIteration, when on, makes every Step walk all K² routers
@@ -1025,7 +1035,7 @@ func (m *Mesh) skipTo(c int64) {
 // footprint per router, set once here) and noc.cross_shard_effects
 // (effects committed across a tile boundary — the serialized share of
 // the commit; its ratio to total traffic is what tile sharding wins
-// over id-stripe sharding).
+// over id-stripe sharding); noc.fanout_cycles counts fanned-out cycles.
 func (m *Mesh) RegisterObs(reg *obs.Registry) {
 	m.obsCycles = reg.Counter("noc.cycles")
 	m.obsComputes = reg.Counter("noc.router_computes")
@@ -1036,25 +1046,14 @@ func (m *Mesh) RegisterObs(reg *obs.Registry) {
 	m.obsWorklistLen = reg.Gauge("noc.worklist_len")
 	m.obsCyclesSkipped = reg.Counter("noc.cycles_skipped")
 	m.obsCrossShard = reg.Counter("noc.cross_shard_effects")
+	m.obsFanout = reg.Counter("noc.fanout_cycles")
 	m.obsBytesPerRouter = reg.Gauge("noc.bytes_per_router")
 	m.obsBytesPerRouter.Set(m.BytesPerRouter())
 }
 
-// Step advances the whole mesh by one cycle (sharding compute across
-// the pool installed with SetPool, if any).
-func (m *Mesh) Step() { m.step(m.pool) }
-
-// StepParallel advances the mesh by one cycle with both the compute
-// phase and the tile-interior commit sharded across p's workers. The
-// result is byte-identical to Step at any worker count: computes
-// touch only router-own state; each tile's interior effects are
-// applied by the worker owning the tile, in a fixed tile-ascending
-// order; and the only effects committed by the serial phase are the
-// tile-boundary crossings, again in tile-ascending order. No part of
-// the schedule depends on the worker count.
-func (m *Mesh) StepParallel(p *exec.Pool) { m.step(p) }
-
-func (m *Mesh) step(pool *exec.Pool) {
+// Step advances the whole mesh by one cycle, fanning its tile phase
+// out over the SetPool pool when its active routers pay (planGroups).
+func (m *Mesh) Step() {
 	m.releaseDue()
 	m.injectPhase()
 	ids := m.activeR.sorted()
@@ -1076,9 +1075,12 @@ func (m *Mesh) step(pool *exec.Pool) {
 	m.partitionTiles(ids)
 	m.tileIDs = ids
 	m.tileCycle = m.cycle
-	if g := m.planGroups(pool, len(ids)); g > 1 {
+	if g := m.planGroups(len(ids)); g > 1 {
+		if m.obsFanout != nil {
+			m.obsFanout.Inc()
+		}
 		m.parCommit = true
-		pool.Do(m.tileTasks[:g]...)
+		m.pool.Do(m.tileTasks[:g]...)
 		m.parCommit = false
 		m.activeR.recount()
 	} else {
@@ -1141,7 +1143,11 @@ func (m *Mesh) step(pool *exec.Pool) {
 func (m *Mesh) partitionTiles(ids []int) {
 	t := 0
 	m.tileOff[0] = 0
+	m.busyTiles = 0
 	for i, id := range ids {
+		if id >= int(m.tileStart[t+1]) || i == 0 {
+			m.busyTiles++
+		}
 		for id >= int(m.tileStart[t+1]) {
 			t++
 			m.tileOff[t] = int32(i)
@@ -1154,21 +1160,15 @@ func (m *Mesh) partitionTiles(ids []int) {
 }
 
 // planGroups decides how many worker groups this cycle's tile phase
-// fans out over and fills groupBound with contiguous tile ranges
+// fans out over — at most one per worker, busy tile and stepGrain of
+// active routers — and fills groupBound with contiguous tile ranges
 // balanced by active-router population. Grouping only chooses which
-// worker executes a tile — per-tile work and order are fixed — so the
-// choice cannot affect artifacts. Returns 1 (run inline) without a
-// pool or meaningful parallel work.
-func (m *Mesh) planGroups(pool *exec.Pool, active int) int {
-	if pool == nil || active <= 1 {
-		return 1
-	}
-	g := pool.Workers()
-	if g > m.numTiles {
-		g = m.numTiles
-	}
-	if g > active {
-		g = active
+// worker executes a tile, so the choice cannot affect artifacts.
+// Returns 1 (run inline) without a pool or without work to pay for it.
+func (m *Mesh) planGroups(active int) int {
+	g := 0
+	if m.pool != nil {
+		g = min(m.pool.Workers(), active/m.grain, m.busyTiles)
 	}
 	if g <= 1 {
 		return 1

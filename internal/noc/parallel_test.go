@@ -38,6 +38,18 @@ type runArtifacts struct {
 	latMin   float64
 	latMax   float64
 	obs      obs.Snapshot
+	// fanouts is the run's noc.fanout_cycles, moved out of obs: how
+	// often a cycle fanned out depends on the worker count by design,
+	// so assertArtifactsEqual compares the artifacts without it.
+	fanouts int64
+}
+
+// takeFanouts moves noc.fanout_cycles from the obs snapshot into
+// a.fanouts and returns a.
+func (a runArtifacts) takeFanouts() runArtifacts {
+	a.fanouts = a.obs.Counters["noc.fanout_cycles"]
+	delete(a.obs.Counters, "noc.fanout_cycles")
+	return a
 }
 
 // runStepVariant drives one fixed traffic scenario — warm phase plus
@@ -103,7 +115,15 @@ func runStepVariant(t *testing.T, torus bool, tile int, faultSpec string, config
 		latMin:   m.Latency.Min(),
 		latMax:   m.Latency.Max(),
 		obs:      reg.Snapshot(),
-	}
+	}.takeFanouts()
+}
+
+// pooled attaches p to m with the fan-out grain lowered to one active
+// router per worker, so a K=4 mesh fans out whenever two tiles are
+// busy and the parallel commit stays under test.
+func pooled(m *Mesh, p *exec.Pool) {
+	m.SetPool(p)
+	m.grain = 1
 }
 
 // stepVariants are the stepping modes every scenario is run under.
@@ -111,52 +131,52 @@ func runStepVariant(t *testing.T, torus bool, tile int, faultSpec string, config
 // exactly (full iteration computes all K² routers by design, so its
 // noc.router_computes differs while every simulation artifact is
 // still identical — that is precisely the skipped-routers-are-no-ops
-// claim).
+// claim). fansOut marks modes that must fan out at least once on a
+// multi-tile mesh.
 var stepVariants = []struct {
 	name      string
 	quiescent bool
+	fansOut   bool
 	configure func(m *Mesh) (func(), func())
 }{
-	{"serial-quiescent", true, func(m *Mesh) (func(), func()) {
+	{"serial-quiescent", true, false, func(m *Mesh) (func(), func()) {
 		return m.Step, nil
 	}},
-	{"full-iteration", false, func(m *Mesh) (func(), func()) {
+	{"full-iteration", false, false, func(m *Mesh) (func(), func()) {
 		m.SetFullIteration(true)
 		return m.Step, nil
 	}},
-	{"router-fullscan", false, func(m *Mesh) (func(), func()) {
+	{"router-fullscan", false, false, func(m *Mesh) (func(), func()) {
 		m.SetFullScan(true)
 		return m.Step, nil
 	}},
-	{"pool-1", true, func(m *Mesh) (func(), func()) {
+	{"pool-1", true, false, func(m *Mesh) (func(), func()) {
 		p := exec.NewPool(1)
-		return func() { m.StepParallel(p) }, p.Close
-	}},
-	{"pool-2", true, func(m *Mesh) (func(), func()) {
-		p := exec.NewPool(2)
-		m.SetPool(p)
+		pooled(m, p)
 		return m.Step, p.Close
 	}},
-	{"pool-8", true, func(m *Mesh) (func(), func()) {
+	{"pool-2", true, true, func(m *Mesh) (func(), func()) {
+		p := exec.NewPool(2)
+		pooled(m, p)
+		return m.Step, p.Close
+	}},
+	{"pool-8", true, true, func(m *Mesh) (func(), func()) {
 		p := exec.NewPool(8)
-		return func() { m.StepParallel(p) }, p.Close
+		pooled(m, p)
+		return m.Step, p.Close
 	}},
 	// pool-alternating regression-tests shard scratch reuse across
 	// worker-count changes: the same mesh is stepped by pools of three
 	// different sizes (and serially), switching every step mid-run. The
 	// tile scratch is keyed to tiles, not workers, so no rebuild — and
 	// no stale bound — may ever leak between pool sizes.
-	{"pool-alternating", true, func(m *Mesh) (func(), func()) {
+	{"pool-alternating", true, true, func(m *Mesh) (func(), func()) {
 		pools := []*exec.Pool{exec.NewPool(2), exec.NewPool(8), nil, exec.NewPool(3)}
 		n := 0
 		step := func() {
-			p := pools[n%len(pools)]
+			pooled(m, pools[n%len(pools)])
 			n++
-			if p == nil {
-				m.Step()
-				return
-			}
-			m.StepParallel(p)
+			m.Step()
 		}
 		cleanup := func() {
 			for _, p := range pools {
@@ -171,6 +191,7 @@ var stepVariants = []struct {
 
 func assertArtifactsEqual(t *testing.T, name string, base, got runArtifacts, compareObs bool) {
 	t.Helper()
+	base.fanouts, got.fanouts = 0, 0
 	if !compareObs {
 		base.obs, got.obs = obs.Snapshot{}, obs.Snapshot{}
 	}
@@ -192,9 +213,19 @@ func assertArtifactsEqual(t *testing.T, name string, base, got runArtifacts, com
 	}
 }
 
+// assertFannedOut fails the test if a run never fanned a cycle out
+// over its pool: its artifacts then say nothing about the parallel
+// commit.
+func assertFannedOut(t *testing.T, name string, a runArtifacts) {
+	t.Helper()
+	if a.fanouts == 0 {
+		t.Errorf("%s: never fanned out over the pool; the parallel commit went untested", name)
+	}
+}
+
 // TestMeshStepParallelMatchesSerial pins the tentpole contract: the
-// quiescent serial path, the full-iteration oracle, and StepParallel
-// at 1/2/8 workers all produce byte-identical artifacts — every
+// quiescent serial path, the full-iteration oracle, and pooled
+// stepping at 1/2/8 workers all produce byte-identical artifacts — every
 // ejected flit (node, vc, kind, cycle), every counter, and the exact
 // Welford latency accumulation, whose float sums would expose any
 // reordering of commit effects.
@@ -206,6 +237,9 @@ func TestMeshStepParallelMatchesSerial(t *testing.T) {
 	for _, v := range stepVariants[1:] {
 		got := runStepVariant(t, false, 0, "", v.configure)
 		assertArtifactsEqual(t, v.name, base, got, v.quiescent)
+		if v.fansOut {
+			assertFannedOut(t, v.name, got)
+		}
 	}
 }
 
@@ -223,8 +257,12 @@ func TestMeshTileConfigsMatchAcrossWorkers(t *testing.T) {
 			t.Fatalf("tile=%d: scenario degenerate: %d packets, %d in flight", tile, base.latN, base.inFlight)
 		}
 		for _, v := range stepVariants[1:] {
+			name := fmt.Sprintf("tile=%d/%s", tile, v.name)
 			got := runStepVariant(t, false, tile, "", v.configure)
-			assertArtifactsEqual(t, fmt.Sprintf("tile=%d/%s", tile, v.name), base, got, v.quiescent)
+			assertArtifactsEqual(t, name, base, got, v.quiescent)
+			if v.fansOut && tile < 4 { // tile=4 is one tile: nothing to fan out
+				assertFannedOut(t, name, got)
+			}
 		}
 	}
 }
@@ -245,6 +283,9 @@ func TestMeshStepParallelTorusFaults(t *testing.T) {
 	for _, v := range stepVariants[1:] {
 		got := runStepVariant(t, true, 0, spec, v.configure)
 		assertArtifactsEqual(t, v.name, base, got, v.quiescent)
+		if v.fansOut {
+			assertFannedOut(t, v.name, got)
+		}
 	}
 }
 
@@ -270,7 +311,7 @@ func TestMeshTileDeterminism64TorusFaults(t *testing.T) {
 		run:      3_000,
 		drain:    20_000,
 	}
-	o.stepped = true
+	o.stepped, o.grain = true, 1
 	base, _ := eventRun(t, o)
 	if base.latN == 0 {
 		t.Fatal("scenario degenerate: nothing delivered")
@@ -291,6 +332,9 @@ func TestMeshTileDeterminism64TorusFaults(t *testing.T) {
 		o.stepped, o.workers = v.stepped, v.workers
 		got, _ := eventRun(t, o)
 		assertArtifactsEqual(t, v.name, base, got, v.stepped)
+		if v.workers > 1 {
+			assertFannedOut(t, v.name, got)
+		}
 	}
 }
 
@@ -325,5 +369,38 @@ func TestQuiescenceSkipsIdleRouters(t *testing.T) {
 	}
 	if got := reg.Gauge("noc.active_routers").Value(); got != 0 {
 		t.Errorf("active routers after drain = %d, want 0", got)
+	}
+}
+
+// TestMeshFanOutCrossesGrain steps a run whose active-router count
+// rises past the production fan-out threshold (two workers' worth of
+// stepGrain) during each burst and falls back below it as the burst
+// drains, so the mesh switches between inline and fanned-out cycles
+// both ways, on a 2-worker pool at the production grain. Its artifacts
+// must be byte-identical to a pool-less run.
+func TestMeshFanOutCrossesGrain(t *testing.T) {
+	o := eventRunOpts{
+		cfg: Config{K: 32, VCs: 2, BufFlits: 4,
+			NewArb: func() sched.Scheduler { return core.New() }},
+		bursts:   []int64{0, 3000},
+		perBurst: 1500,
+		run:      6_000,
+		drain:    20_000,
+	}
+	base, _ := eventRun(t, o)
+	if base.latN == 0 || base.inFlight != 0 {
+		t.Fatalf("scenario degenerate: %d packets, %d in flight", base.latN, base.inFlight)
+	}
+	o.workers = 2
+	got, _ := eventRun(t, o)
+	assertArtifactsEqual(t, "pool-2-production-grain", base, got, true)
+	stepped := got.obs.Counters["noc.cycles"] - got.obs.Counters["noc.cycles_skipped"]
+	t.Logf("fanned out on %d of %d stepped cycles (high water %d active)", got.fanouts, stepped,
+		got.obs.Gauges["noc.active_routers_high_water"])
+	// Each run starts and ends with an idle mesh, stepped inline, so
+	// any fanned-out cycle means the count crossed the grain up and
+	// back down.
+	if got.fanouts == 0 || got.fanouts >= stepped {
+		t.Errorf("fanned out on %d of %d stepped cycles; the run must cross the grain both ways", got.fanouts, stepped)
 	}
 }

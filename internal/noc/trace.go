@@ -33,7 +33,7 @@ type TraceConfig struct {
 //
 // Because sampling is a pure function of (Seed, packet id) and every
 // recorded field derives from mode-identical events, the trace output
-// is byte-identical across Step, StepStepped, and StepParallel.
+// is byte-identical across stepped, event-driven and pooled stepping.
 func (m *Mesh) EnableTrace(cfg TraceConfig) *trace.Trace {
 	tc := trace.Config{
 		Seed:        cfg.Seed,

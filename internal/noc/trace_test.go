@@ -63,7 +63,7 @@ func traceRun(t *testing.T, mode traceMode, sampleEvery int, spec string) ([]byt
 	if mode.workers > 0 {
 		p := exec.NewPool(mode.workers)
 		defer p.Close()
-		m.SetPool(p)
+		pooled(m, p)
 	}
 	var ws []trace.FaultWindow
 	if spec != "" {
